@@ -133,17 +133,31 @@ void BM_ScoreAllItems(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreAllItems)->Arg(1682)->Arg(3706);
 
-void BM_TopK(benchmark::State& state) {
+/// The evaluator's and the attack's selection: sorted exclusion list (a
+/// user's ~100 interacted items) and a reused output buffer.
+void BM_TopKExcludingSorted(benchmark::State& state) {
   const std::size_t items = static_cast<std::size_t>(state.range(0));
   const std::size_t k = static_cast<std::size_t>(state.range(1));
+  const std::size_t excluded_count = static_cast<std::size_t>(state.range(2));
   Rng rng(3);
   std::vector<float> scores(items);
   for (auto& s : scores) s = rng.NextFloat();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(TopKIndices(scores, k, nullptr));
+  std::vector<std::uint32_t> excluded;
+  for (std::size_t idx : rng.SampleWithoutReplacement(items, excluded_count)) {
+    excluded.push_back(static_cast<std::uint32_t>(idx));
   }
+  std::sort(excluded.begin(), excluded.end());
+  std::vector<std::uint32_t> out;
+  for (auto _ : state) {
+    TopKIndicesExcludingSortedInto(scores, k, excluded, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(items));
 }
-BENCHMARK(BM_TopK)->Args({1682, 10})->Args({3706, 10});
+BENCHMARK(BM_TopKExcludingSorted)
+    ->Args({1682, 10, 100})
+    ->Args({67280, 10, 100});
 
 void BM_ClientTrainRound(benchmark::State& state) {
   const std::size_t interactions = static_cast<std::size_t>(state.range(0));

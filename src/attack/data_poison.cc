@@ -115,7 +115,10 @@ std::vector<std::uint32_t> DataPoisonP2::BuildFillerItems(std::size_t slot,
     }
     std::vector<float> scores(deep_surrogate_->num_items());
     deep_surrogate_->ScoreAllForEmbedding(virtual_user, scores);
-    return TopKIndicesExcludingSorted(scores, filler_count(), target_items());
+    std::vector<std::uint32_t> fillers;
+    TopKIndicesExcludingSortedInto(scores, filler_count(), target_items(),
+                                   fillers);
+    return fillers;
   }
   std::vector<float> virtual_user(surrogate_items_.cols());
   for (float& v : virtual_user) {
@@ -125,7 +128,10 @@ std::vector<std::uint32_t> DataPoisonP2::BuildFillerItems(std::size_t slot,
   for (std::size_t j = 0; j < surrogate_items_.rows(); ++j) {
     scores[j] = Dot(virtual_user, surrogate_items_.Row(j));
   }
-  return TopKIndicesExcludingSorted(scores, filler_count(), target_items());
+  std::vector<std::uint32_t> fillers;
+  TopKIndicesExcludingSortedInto(scores, filler_count(), target_items(),
+                                 fillers);
+  return fillers;
 }
 
 }  // namespace fedrec

@@ -48,8 +48,22 @@ void FedRecAttack::ApproximateUsers(const Matrix& item_factors,
   }
 }
 
-Matrix FedRecAttack::ComputePoisonGradient(const Matrix& item_factors,
-                                           ThreadPool* pool) {
+namespace {
+
+/// Zeroes `m` as a rows x cols matrix, reusing its storage when the shape
+/// already matches.
+void ZeroShaped(Matrix& m, std::size_t rows, std::size_t cols) {
+  if (m.rows() == rows && m.cols() == cols) {
+    m.Fill(0.0f);
+  } else {
+    m = Matrix(rows, cols);
+  }
+}
+
+}  // namespace
+
+const Matrix& FedRecAttack::ComputePoisonGradient(const Matrix& item_factors,
+                                                  ThreadPool* pool) {
   const std::size_t num_items = item_factors.rows();
   const std::size_t dim = item_factors.cols();
   const std::size_t num_users = u_hat_.rows();
@@ -58,13 +72,16 @@ Matrix FedRecAttack::ComputePoisonGradient(const Matrix& item_factors,
   // Ablation semantics: with no public knowledge at all the attacker cannot
   // rationally approximate U, so no poisoned gradient can be formed (the
   // paper's Table IX shows the attack collapsing to zero effect).
-  if (public_interactions_.empty()) return Matrix(num_items, dim);
+  if (public_interactions_.empty()) {
+    ZeroShaped(last_gradient_, num_items, dim);
+    return last_gradient_;
+  }
 
   // Optional user subsampling turns Eq. (20) into a stochastic gradient.
-  std::vector<std::uint32_t> users;
+  std::vector<std::uint32_t>& users = step_users_;
   double scale = static_cast<double>(config_.step_size);
   if (config_.users_per_step > 0 && config_.users_per_step < num_users) {
-    users.reserve(config_.users_per_step);
+    users.clear();
     for (std::size_t idx :
          rng_.SampleWithoutReplacement(num_users, config_.users_per_step)) {
       users.push_back(static_cast<std::uint32_t>(idx));
@@ -76,48 +93,54 @@ Matrix FedRecAttack::ComputePoisonGradient(const Matrix& item_factors,
     for (std::uint32_t u = 0; u < num_users; ++u) users[u] = u;
   }
 
-  // Parallel accumulation: one dense gradient accumulator per worker chunk,
-  // merged at the end (users only touch |targets|+1 rows each, but chunked
-  // dense accumulation avoids any locking).
+  // Parallel accumulation: one sparse gradient accumulator per worker chunk
+  // (users only touch |targets|+1 rows each), merged at the end without any
+  // locking.
   const std::size_t num_chunks =
       pool != nullptr ? std::min<std::size_t>(pool->thread_count(),
                                               std::max<std::size_t>(1, users.size()))
                       : 1;
-  std::vector<Matrix> partial(num_chunks, Matrix(num_items, dim));
+  if (chunk_scratch_.size() < num_chunks) chunk_scratch_.resize(num_chunks);
 
   // Each chunk owns a contiguous range of the sampled users and scores them
   // through the blocked batch-scoring kernel over a shared packed item
   // matrix, gathering (possibly non-adjacent) u_hat rows into a small
-  // contiguous tile first. The scoring and scratch buffers are reused across
-  // the whole chunk — no per-user allocation.
-  std::vector<float> items_packed(kernels::PackedItemsSize(num_items, dim));
+  // contiguous tile first. Accumulators, tiles and the top-K list live in
+  // chunk_scratch_ and keep their capacity across rounds.
+  items_packed_.resize(kernels::PackedItemsSize(num_items, dim));
   kernels::PackItems(item_factors.Data().data(), num_items, dim,
-                     items_packed.data());
+                     items_packed_.data());
   constexpr std::size_t kScoreTile = 8;
   auto process_chunk = [&](std::size_t chunk) {
-    Matrix& grad = partial[chunk];
+    ChunkScratch& scratch = chunk_scratch_[chunk];
+    SparseRowMatrix& grad = scratch.gradient;
+    grad.Reset(dim);
+    scratch.gathered.resize(kScoreTile * dim);
+    scratch.scores.resize(kScoreTile * num_items);
     const std::size_t begin = chunk * users.size() / num_chunks;
     const std::size_t end = (chunk + 1) * users.size() / num_chunks;
-    std::vector<float> gathered(kScoreTile * dim);
-    std::vector<float> scores(kScoreTile * num_items);
+    // fedrec:hot — the per-user attack step; fedrec_lint rejects allocating
+    // calls here.
     for (std::size_t tile_begin = begin; tile_begin < end;
          tile_begin += kScoreTile) {
       const std::size_t tile = std::min(kScoreTile, end - tile_begin);
       for (std::size_t t = 0; t < tile; ++t) {
         const auto src = u_hat_.Row(users[tile_begin + t]);
-        std::copy(src.begin(), src.end(), gathered.begin() + t * dim);
+        std::copy(src.begin(), src.end(), scratch.gathered.begin() + t * dim);
       }
-      kernels::ScoreBlockPacked(gathered.data(), tile, items_packed.data(),
-                                num_items, dim, scores.data(), num_items);
+      kernels::ScoreBlockPacked(scratch.gathered.data(), tile,
+                                items_packed_.data(), num_items, dim,
+                                scratch.scores.data(), num_items);
       for (std::size_t t = 0; t < tile; ++t) {
         const std::uint32_t user = users[tile_begin + t];
         const auto u_vec = u_hat_.Row(user);
-        const std::span<const float> user_scores(scores.data() + t * num_items,
-                                                 num_items);
+        const std::span<const float> user_scores(
+            scratch.scores.data() + t * num_items, num_items);
         const auto& public_items = public_positives_[user];
         // V^rec'_i: top-K of V-''_i (items without a *public* interaction).
-        const std::vector<std::uint32_t> rec =
-            TopKIndicesExcludingSorted(user_scores, config_.rec_k, public_items);
+        std::vector<std::uint32_t>& rec = scratch.rec;
+        TopKIndicesExcludingSortedInto(user_scores, config_.rec_k,
+                                       public_items, rec);
         // Boundary: the lowest-scored non-target item of the list (Eq. 15).
         bool has_boundary = false;
         std::uint32_t boundary_item = 0;
@@ -143,8 +166,9 @@ Matrix FedRecAttack::ComputePoisonGradient(const Matrix& item_factors,
           const float w = static_cast<float>(AttackGPrime(s));
           if (w == 0.0f) continue;
           // dL/dx_boundary = +g'(s), dL/dx_target = -g'(s); dx_ij/dv_j = u_i.
-          Axpy(w, u_vec, grad.Row(boundary_item));
-          Axpy(-w, u_vec, grad.Row(target));
+          // RowMutable grows the chunk's row store only past its high water.
+          Axpy(w, u_vec, grad.RowMutable(boundary_item));
+          Axpy(-w, u_vec, grad.RowMutable(target));
         }
       }
     }
@@ -158,14 +182,18 @@ Matrix FedRecAttack::ComputePoisonGradient(const Matrix& item_factors,
     pool->ParallelFor(0, num_chunks, /*grain=*/1, process_chunk);
   }
 
-  Matrix gradient = std::move(partial[0]);
-  for (std::size_t c = 1; c < num_chunks; ++c) {
-    gradient.Add(partial[c]);
+  // Fixed merge order ((p0 + p1) + p2) + ...: bit-identical for a given
+  // chunk count. Only touched rows are added; adding a chunk's untouched
+  // (zero) rows would be an exact no-op, since the accumulators start at +0
+  // and a sum that cancels rounds to +0, so no entry is ever -0.
+  ZeroShaped(last_gradient_, num_items, dim);
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    chunk_scratch_[c].gradient.AddTo(last_gradient_);
   }
   if (scale != 1.0) {
-    Scale(static_cast<float>(scale), gradient.Data());
+    Scale(static_cast<float>(scale), last_gradient_.Data());
   }
-  return gradient;
+  return last_gradient_;
 }
 
 std::vector<ClientUpdate> FedRecAttack::ProduceUpdates(
@@ -183,7 +211,7 @@ std::vector<ClientUpdate> FedRecAttack::ProduceUpdates(
   users_initialized_ = true;
 
   // Step 2: the round's poisoned gradient (Eq. 20).
-  last_gradient_ = ComputePoisonGradient(item_factors, context.pool);
+  ComputePoisonGradient(item_factors, context.pool);
 
   // Steps 3-12: distribute across the selected malicious clients.
   std::vector<ClientUpdate> updates;

@@ -74,8 +74,13 @@ class FedRecAttack : public MaliciousCoordinator {
   /// Refines U-hat on D' (Eq. 19); called internally, exposed for tests.
   void ApproximateUsers(const Matrix& item_factors, std::size_t epochs);
 
-  /// Computes zeta * dL_atk/dV at (U-hat, V) (Eq. 20); exposed for tests.
-  Matrix ComputePoisonGradient(const Matrix& item_factors, ThreadPool* pool);
+  /// Computes zeta * dL_atk/dV at (U-hat, V) (Eq. 20) into
+  /// last_poison_gradient() and returns it; exposed for tests. The reference
+  /// stays valid until the next call. The per-chunk accumulators, packed item
+  /// matrix, score tiles and top-K lists are members, reused from round to
+  /// round once the item-matrix shape and pool size are stable.
+  const Matrix& ComputePoisonGradient(const Matrix& item_factors,
+                                      ThreadPool* pool);
 
  private:
   FedRecAttackConfig config_;
@@ -91,6 +96,18 @@ class FedRecAttack : public MaliciousCoordinator {
   std::vector<std::vector<std::uint32_t>> item_sets_;
   std::vector<bool> item_set_ready_;
   std::vector<std::uint32_t> sorted_targets_;
+
+  /// Scratch of one ComputePoisonGradient chunk, refilled every round.
+  struct ChunkScratch {
+    /// The chunk's partial sum of nabla~V over the rows its users touch.
+    SparseRowMatrix gradient;
+    std::vector<float> gathered;  ///< tile of u_hat rows
+    std::vector<float> scores;    ///< tile of score rows
+    std::vector<std::uint32_t> rec;  ///< V^rec' of the current user
+  };
+  std::vector<ChunkScratch> chunk_scratch_;
+  std::vector<float> items_packed_;
+  std::vector<std::uint32_t> step_users_;
 };
 
 }  // namespace fedrec

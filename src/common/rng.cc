@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace fedrec {
 
@@ -107,17 +106,35 @@ double Rng::NextLogNormal(double mu, double sigma) {
 std::vector<std::size_t> Rng::SampleWithoutReplacement(std::size_t population,
                                                        std::size_t count) {
   FEDREC_CHECK_LE(count, population);
-  // Floyd's algorithm: expected O(count) draws, O(count) memory.
-  std::unordered_set<std::size_t> chosen;
-  chosen.reserve(count * 2);
   std::vector<std::size_t> result;
+  if (count == 0) return result;
   result.reserve(count);
+  // Floyd's algorithm: expected O(count) draws, O(count) memory. The set of
+  // drawn values is a flat open-addressing table (Fibonacci hash, linear
+  // probing, load <= 1/2): one allocation instead of one node per draw.
+  int bits = 1;
+  while ((std::size_t{1} << bits) < 2 * count) ++bits;
+  constexpr std::size_t kEmpty = ~std::size_t{0};  // never a value < population
+  std::vector<std::size_t> table(std::size_t{1} << bits, kEmpty);
+  const std::size_t mask = table.size() - 1;
+  // Inserts `value`; false when it was already drawn.
+  auto insert = [&table, mask, bits](std::size_t value) {
+    std::size_t slot = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(value) * 0x9E3779B97F4A7C15ULL) >>
+        (64 - bits));
+    while (table[slot] != kEmpty) {
+      if (table[slot] == value) return false;
+      slot = (slot + 1) & mask;
+    }
+    table[slot] = value;
+    return true;
+  };
   for (std::size_t j = population - count; j < population; ++j) {
-    std::size_t t = static_cast<std::size_t>(NextBounded(j + 1));
-    if (chosen.insert(t).second) {
+    const std::size_t t = static_cast<std::size_t>(NextBounded(j + 1));
+    if (insert(t)) {
       result.push_back(t);
     } else {
-      chosen.insert(j);
+      insert(j);
       result.push_back(j);
     }
   }

@@ -86,8 +86,9 @@ MetricsResult Evaluator::EvaluateWithConfig(
   constexpr std::size_t kUserBlock = 8;
   const std::size_t num_blocks = (num_users + kUserBlock - 1) / kUserBlock;
   ParallelFor(pool, num_blocks, [&](std::size_t block) {
-    // Reusable per-thread scoring buffer — no per-user allocation.
+    // Reusable per-thread scoring and top-K buffers — no per-user allocation.
     static thread_local std::vector<float> scores_buffer;
+    static thread_local std::vector<std::uint32_t> rec;
     scores_buffer.resize(kUserBlock * num_items);
     const std::size_t user_begin = block * kUserBlock;
     const std::size_t user_end =
@@ -96,12 +97,13 @@ MetricsResult Evaluator::EvaluateWithConfig(
                               user_end - user_begin, items_packed.data(),
                               num_items, dim, scores_buffer.data(),
                               num_items);
+    // fedrec:hot — the per-user metric sweep; fedrec_lint rejects allocating
+    // calls here.
     for (std::size_t u = user_begin; u < user_end; ++u) {
       const std::span<const float> scores(
           scores_buffer.data() + (u - user_begin) * num_items, num_items);
       const auto& interacted = train_->UserItems(u);
-      const std::vector<std::uint32_t> rec =
-          TopKIndicesExcludingSorted(scores, max_k, interacted);
+      TopKIndicesExcludingSortedInto(scores, max_k, interacted, rec);
 
       // Number of target items the user has not interacted with:
       // |Vtar ^ V-_i|.

@@ -17,39 +17,48 @@ inline bool Better(float score_a, std::uint32_t idx_a, float score_b,
 
 }  // namespace
 
-std::vector<std::uint32_t> TopKIndices(
-    std::span<const float> scores, std::size_t k,
-    const std::function<bool(std::uint32_t)>& exclude) {
-  std::vector<std::uint32_t> heap;  // min-heap on Better ordering
-  if (k == 0) return heap;
-  heap.reserve(k + 1);
-  auto worse_first = [&scores](std::uint32_t a, std::uint32_t b) {
-    // std::push_heap keeps the *largest* at front; we want the worst candidate
-    // at front for eviction, so "largest" = worst.
+// fedrec:hot — runs once per user per evaluation and per attacked user per
+// round; fedrec_lint rejects allocating calls in this body.
+void TopKIndicesExcludingSortedInto(std::span<const float> scores,
+                                    std::size_t k,
+                                    std::span<const std::uint32_t> sorted_excluded,
+                                    std::vector<std::uint32_t>& out) {
+  out.clear();
+  const std::size_t n = scores.size();
+  if (k == 0 || n == 0) return;
+  out.reserve(std::min(k, n));  // fedrec:alloc-ok — retained caller buffer
+  // Heap order: the *worst* kept entry sits at the front, ready for eviction;
+  // sort_heap under the same order leaves `out` best-first.
+  auto worse_first = [scores](std::uint32_t a, std::uint32_t b) {
     return Better(scores[a], a, scores[b], b);
   };
-  for (std::uint32_t idx = 0; idx < scores.size(); ++idx) {
-    if (exclude && exclude(idx)) continue;
-    if (heap.size() < k) {
-      heap.push_back(idx);
-      std::push_heap(heap.begin(), heap.end(), worse_first);
-    } else if (Better(scores[idx], idx, scores[heap.front()], heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), worse_first);
-      heap.back() = idx;
-      std::push_heap(heap.begin(), heap.end(), worse_first);
+  auto excluded = sorted_excluded.begin();
+  const auto excluded_end = sorted_excluded.end();
+  auto is_excluded = [&excluded, excluded_end](std::uint32_t idx) {
+    while (excluded != excluded_end && *excluded < idx) ++excluded;
+    return excluded != excluded_end && *excluded == idx;
+  };
+
+  // Fill: the first k candidates all enter the heap.
+  std::uint32_t idx = 0;
+  for (; idx < n && out.size() < k; ++idx) {
+    if (is_excluded(idx)) continue;
+    out.push_back(idx);  // fedrec:alloc-ok — within the reserved capacity
+    std::push_heap(out.begin(), out.end(), worse_first);
+  }
+  // Threshold: only a strictly greater score can evict the k-th entry (see
+  // the header for why ties and NaNs are safe to skip).
+  if (out.size() == k) {
+    float threshold = scores[out.front()];
+    for (; idx < n; ++idx) {
+      if (!(scores[idx] > threshold) || is_excluded(idx)) continue;
+      std::pop_heap(out.begin(), out.end(), worse_first);
+      out.back() = idx;
+      std::push_heap(out.begin(), out.end(), worse_first);
+      threshold = scores[out.front()];
     }
   }
-  // sort_heap with this comparator yields best-first (descending score).
-  std::sort_heap(heap.begin(), heap.end(), worse_first);
-  return heap;
-}
-
-std::vector<std::uint32_t> TopKIndicesExcludingSorted(
-    std::span<const float> scores, std::size_t k,
-    std::span<const std::uint32_t> sorted_excluded) {
-  return TopKIndices(scores, k, [sorted_excluded](std::uint32_t idx) {
-    return std::binary_search(sorted_excluded.begin(), sorted_excluded.end(), idx);
-  });
+  std::sort_heap(out.begin(), out.end(), worse_first);
 }
 
 std::size_t RankOfIndex(std::span<const float> scores, std::uint32_t target_index,

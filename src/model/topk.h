@@ -2,7 +2,6 @@
 #define FEDREC_MODEL_TOPK_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -13,22 +12,37 @@
 
 namespace fedrec {
 
-/// Returns the indices of the `k` largest scores in descending score order,
-/// skipping indices for which `exclude` returns true. Ties break toward the
-/// smaller index so results are deterministic. Returns fewer than `k` entries
-/// when not enough candidates exist.
-std::vector<std::uint32_t> TopKIndices(
-    std::span<const float> scores, std::size_t k,
-    const std::function<bool(std::uint32_t)>& exclude);
-
-/// TopKIndices with a sorted exclusion list instead of a predicate.
-std::vector<std::uint32_t> TopKIndicesExcludingSorted(
-    std::span<const float> scores, std::size_t k,
-    std::span<const std::uint32_t> sorted_excluded);
+/// Writes into `out` the indices of the `k` largest scores in descending
+/// score order, skipping the indices listed in `sorted_excluded`. Ties break
+/// toward the smaller index so results are deterministic: `out` is the first
+/// `min(k, candidates)` entries of the non-excluded indices sorted by
+/// (score desc, index asc). `sorted_excluded` must be ascending; duplicates
+/// and ids >= scores.size() are allowed and ignored. Used by the evaluator,
+/// the attack's V^rec' list and the data-poisoning filler pick.
+///
+/// One pass over ascending indices with a k-entry heap:
+///  - The exclusion list is walked with one forward cursor instead of a
+///    search per index.
+///  - Once k entries are held, an index is considered only if its score is
+///    strictly greater than the current k-th score. This is exact: every
+///    held index is smaller than the one being visited, so under the
+///    index-ascending tie-break an equal score can never displace a held
+///    entry, and a NaN never compares better. Skipping them drops nothing
+///    the full (score, index) comparison would have kept.
+///
+/// No allocation: `out` is cleared and refilled; it allocates only when its
+/// capacity is below min(k, scores.size()), so a buffer reused across calls
+/// with the same k reaches its high-water capacity on the first call and
+/// never reallocates after. Stale contents of `out` are discarded.
+void TopKIndicesExcludingSortedInto(std::span<const float> scores,
+                                    std::size_t k,
+                                    std::span<const std::uint32_t> sorted_excluded,
+                                    std::vector<std::uint32_t>& out);
 
 /// Rank (0-based) of `target_index` among all indices not excluded, ordered by
-/// descending score with the same tie-break as TopKIndices. Returns the number
-/// of non-excluded items with strictly better (score, -index) ordering.
+/// descending score with the same tie-break as TopKIndicesExcludingSortedInto.
+/// Returns the number of non-excluded items with strictly better
+/// (score, -index) ordering.
 std::size_t RankOfIndex(std::span<const float> scores, std::uint32_t target_index,
                         std::span<const std::uint32_t> sorted_excluded);
 

@@ -71,7 +71,8 @@ double ReferenceAttackLoss(const Matrix& u_hat, const Matrix& items,
       scores[j] = Dot(u_hat.Row(u), items.Row(j));
     }
     const auto& public_items = view.UserItems(u);
-    const auto rec = TopKIndicesExcludingSorted(scores, rec_k, public_items);
+    std::vector<std::uint32_t> rec;
+    TopKIndicesExcludingSortedInto(scores, rec_k, public_items, rec);
     double boundary = 0.0;
     bool found = false;
     for (std::size_t r = rec.size(); r-- > 0;) {

@@ -162,6 +162,74 @@ TEST(SampleWithoutReplacementTest, FullPopulationIsPermutation) {
   for (std::size_t i = 0; i < 20; ++i) EXPECT_EQ(sample[i], i);
 }
 
+// Floyd draw sequences pinned before the sampler's membership set changed from
+// a node-based hash set to a flat table. Public-view sampling, target
+// selection, shilling fillers and FedRecAttack's user subsample all draw
+// through this function, so these values (and the stream position after the
+// call) must never move.
+TEST(SampleWithoutReplacementTest, GoldenDrawSequences) {
+  struct Golden {
+    std::uint64_t seed;
+    std::size_t population;
+    std::size_t count;
+    std::vector<std::size_t> sample;
+    std::uint64_t next_draw;
+  };
+  const std::vector<Golden> goldens = {
+      {7, 943, 256,
+       {570, 292, 438, 252, 380, 551, 630, 326, 112, 327, 425, 199, 197,
+        449, 372, 187, 575, 399, 479, 417, 241, 439, 233, 576, 266, 527,
+        695, 626, 67, 667, 658, 2, 704, 57, 528, 337, 434, 162, 228,
+        325, 620, 498, 389, 220, 715, 362, 0, 388, 269, 39, 737, 710,
+        105, 102, 75, 200, 384, 316, 616, 598, 212, 386, 588, 677, 267,
+        80, 90, 262, 164, 354, 180, 70, 116, 335, 524, 752, 297, 148,
+        765, 581, 285, 416, 175, 324, 706, 306, 753, 605, 328, 444, 323,
+        674, 174, 176, 433, 395, 712, 784, 647, 394, 617, 89, 622, 128,
+        58, 312, 688, 145, 186, 694, 717, 637, 707, 467, 755, 802, 42,
+        219, 805, 346, 665, 808, 633, 657, 216, 245, 172, 510, 815, 52,
+        237, 766, 437, 450, 91, 115, 111, 824, 100, 742, 32, 775, 201,
+        830, 745, 513, 820, 641, 300, 73, 837, 364, 764, 739, 321, 821,
+        592, 844, 309, 334, 349, 848, 418, 401, 670, 108, 288, 573, 855,
+        856, 143, 858, 25, 377, 110, 782, 863, 864, 480, 482, 867, 446,
+        869, 619, 404, 810, 398, 567, 744, 594, 448, 512, 714, 185, 257,
+        696, 50, 675, 885, 886, 311, 303, 651, 816, 171, 1, 63, 703,
+        895, 683, 125, 898, 542, 719, 103, 902, 903, 296, 301, 533, 793,
+        131, 866, 466, 911, 912, 913, 596, 36, 383, 484, 918, 144, 589,
+        656, 382, 923, 208, 738, 842, 927, 486, 929, 779, 613, 548, 789,
+        489, 935, 182, 463, 938, 458, 940, 65, 318},
+       12728769072856222242ULL},
+      {1, 20, 20,
+       {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
+        18, 19},
+       8545088851120551825ULL},
+      {3, 67280, 60,
+       {59168, 56372, 42524, 66826, 21351, 17325, 17321, 20582, 57256,
+        42446, 64546, 46857, 65543, 28230, 45096, 45081, 60309, 16577,
+        58090, 13739, 26055, 47100, 35236, 53558, 6078, 38671, 47994,
+        25252, 7977, 3264, 53409, 35817, 56699, 30399, 42273, 31290,
+        50057, 41517, 27559, 19698, 37828, 32047, 61325, 42973, 32371,
+        31987, 52029, 40769, 23599, 65610, 28979, 48250, 3475, 63918,
+        14276, 22248, 63926, 32339, 58752, 40363},
+       10834585895815329925ULL},
+      {11, 100, 99,
+       {1, 0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 2, 13, 14, 15, 16, 17, 18,
+        19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34,
+        35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50,
+        51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66,
+        67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82,
+        83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98,
+        99},
+       10647102345502392732ULL},
+  };
+  for (const Golden& g : goldens) {
+    Rng rng(g.seed);
+    EXPECT_EQ(rng.SampleWithoutReplacement(g.population, g.count), g.sample)
+        << "(" << g.seed << ", " << g.population << ", " << g.count << ")";
+    EXPECT_EQ(rng.Next(), g.next_draw)
+        << "(" << g.seed << ", " << g.population << ", " << g.count << ")";
+  }
+}
+
 TEST(SampleWithoutReplacementTest, OverdrawAborts) {
   Rng rng(33);
   EXPECT_DEATH(rng.SampleWithoutReplacement(3, 4), "");
