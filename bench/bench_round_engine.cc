@@ -8,11 +8,11 @@
 ///
 /// 2. End to end: full rounds (Select + LocalTrain + Aggregate + Apply)
 ///    through Simulation in the sparse-participation uniform-per-round
-///    regime, comparing the serial schedule, pool-parallel LocalTrain +
-///    sharded aggregation, and the pipelined schedule that overlaps round
-///    t+1's LocalTrain with round t's server step. Steady-state sparse-
-///    container allocations per round are reported via the counting hook in
-///    SparseRowMatrix/SparseRoundDelta (zero = the allocation-free claim).
+///    regime, comparing the serial engine (no pool) with pool-parallel
+///    LocalTrain + sharded aggregation. Steady-state sparse-container
+///    allocations per round of the pooled path are reported via the counting
+///    hook in SparseRowMatrix/SparseRoundDelta (zero = the allocation-free
+///    claim).
 ///
 ///   ./bench_round_engine [--quick] [--clients=32] [--rows=60]
 ///                        [--e2e-clients=4] [--e2e-users=300]
@@ -67,7 +67,6 @@ double MeasureRoundsPerSec(Step&& step, double min_seconds) {
 struct EndToEndResult {
   double rounds_per_sec = 0.0;
   double allocs_per_round = 0.0;   ///< sparse-container growths (hook)
-  double pipelined_fraction = 0.0; ///< rounds whose LocalTrain overlapped
 };
 
 // ---------------------------------------------------------------------------
@@ -76,7 +75,7 @@ struct EndToEndResult {
 // can keep measuring what this PR replaced: fresh upload buffers for every
 // client every round (the returning ComputeLocalBprGradients, as the old
 // Client::TrainRound used), per-epoch negative resampling through an
-// O(catalogue) rejection bitmap, serial aggregation, no pipelining.
+// O(catalogue) rejection bitmap, serial aggregation.
 // ---------------------------------------------------------------------------
 
 struct LegacyClient {
@@ -283,8 +282,6 @@ class EnginePath {
   EnginePath(const Dataset& data, const FedConfig& config, ThreadPool* pool)
       : sim_(data, config, 0, nullptr, pool) {
     for (int warm = 0; warm < 3; ++warm) sim_.RunEpoch();
-    warm_rounds_ = sim_.global_round();
-    warm_pipelined_ = sim_.engine().pipelined_rounds();
   }
 
   void RunWindow(double min_seconds) {
@@ -314,21 +311,13 @@ class EnginePath {
   EndToEndResult Result() const {
     std::vector<double> sorted = window_rps_;
     std::sort(sorted.begin(), sorted.end());
-    const double rounds =
-        static_cast<double>(sim_.global_round() - warm_rounds_);
     EndToEndResult result;
     result.rounds_per_sec = sorted[sorted.size() / 2];
-    result.pipelined_fraction =
-        static_cast<double>(sim_.engine().pipelined_rounds() -
-                            warm_pipelined_) /
-        rounds;
     return result;
   }
 
  private:
   Simulation sim_;
-  std::size_t warm_rounds_ = 0;
-  std::size_t warm_pipelined_ = 0;
   std::vector<double> window_rps_;
 };
 
@@ -402,7 +391,7 @@ int Main(int argc, const char* const* argv) {
     table.AddRow(speedup_row);
   }
 
-  // -- End-to-end rounds/s: serial vs parallel-agg vs pipelined -------------
+  // -- End-to-end rounds/s: serial vs parallel-agg ---------------------------
   // Sparse cross-device participation (4 of 300 users per round ~ 1.3%):
   // the regime the motivating long-horizon attacks assume, and the one
   // where per-round constant costs dominate wall time.
@@ -421,15 +410,12 @@ int Main(int argc, const char* const* argv) {
   std::vector<std::string> legacy_row{"e2e pr3-equivalent r/s"};
   std::vector<std::string> serial_row{"e2e serial r/s"};
   std::vector<std::string> parallel_row{"e2e parallel-agg r/s"};
-  std::vector<std::string> pipelined_row{"e2e pipelined r/s"};
   std::vector<std::string> e2e_speedup_row{"e2e speedup (best vs pr3)"};
-  std::vector<std::string> overlap_row{"e2e overlapped rounds"};
   std::vector<std::string> allocs_row{"e2e allocs/round steady"};
   for (std::size_t num_items : item_scales) {
     // Sparse-participation regime (the paper's cross-device setting): tiny
-    // uniform draws from a large, evenly-popular catalogue, where adjacent
-    // rounds usually touch disjoint rows and per-round constant costs
-    // dominate wall time.
+    // uniform draws from a large, evenly-popular catalogue, where per-round
+    // constant costs dominate wall time.
     SyntheticConfig data_config;
     data_config.num_users = e2e_users;
     data_config.num_items = num_items;
@@ -447,49 +433,37 @@ int Main(int argc, const char* const* argv) {
     config.rounds_per_epoch = e2e_rounds;
     config.seed = options.seed;
 
-    FedConfig parallel_config = config;
-    parallel_config.pipeline_rounds = false;
-
-    // Warm all four paths, then measure them in interleaved windows: on a
+    // Warm all three paths, then measure them in interleaved windows: on a
     // shared machine, load swings over seconds would otherwise skew whole
     // paths measured back to back; interleaving gives every path the same
     // mix of conditions and the median window drops the outliers.
     LegacyPath legacy(data, config);
     EnginePath serial_path(data, config, nullptr);
-    EnginePath parallel_path(data, parallel_config, pool.get());
-    EnginePath pipelined_path(data, config, pool.get());
+    EnginePath parallel_path(data, config, pool.get());
     for (int window = 0; window < 5; ++window) {
       legacy.RunWindow(e2e_min_seconds);
       serial_path.RunWindow(e2e_min_seconds);
       parallel_path.RunWindow(e2e_min_seconds);
-      pipelined_path.RunWindow(e2e_min_seconds);
     }
 
     const double legacy_rps = legacy.RoundsPerSec();
     const EndToEndResult serial = serial_path.Result();
-    const EndToEndResult parallel = parallel_path.Result();
-    EndToEndResult pipelined = pipelined_path.Result();
-    pipelined.allocs_per_round =
-        pipelined_path.MeasureAllocsPerRound(e2e_min_seconds);
+    EndToEndResult parallel = parallel_path.Result();
+    parallel.allocs_per_round =
+        parallel_path.MeasureAllocsPerRound(e2e_min_seconds);
     const double best_rps =
-        std::max({serial.rounds_per_sec, parallel.rounds_per_sec,
-                  pipelined.rounds_per_sec});
+        std::max(serial.rounds_per_sec, parallel.rounds_per_sec);
 
     legacy_row.push_back(FormatDouble(legacy_rps, 1));
     serial_row.push_back(FormatDouble(serial.rounds_per_sec, 1));
     parallel_row.push_back(FormatDouble(parallel.rounds_per_sec, 1));
-    pipelined_row.push_back(FormatDouble(pipelined.rounds_per_sec, 1));
     e2e_speedup_row.push_back(FormatDouble(best_rps / legacy_rps, 2) + "x");
-    overlap_row.push_back(
-        FormatDouble(100.0 * pipelined.pipelined_fraction, 1) + "%");
-    allocs_row.push_back(FormatDouble(pipelined.allocs_per_round, 3));
+    allocs_row.push_back(FormatDouble(parallel.allocs_per_round, 3));
   }
   table.AddRow(legacy_row);
   table.AddRow(serial_row);
   table.AddRow(parallel_row);
-  table.AddRow(pipelined_row);
   table.AddRow(e2e_speedup_row);
-  table.AddRow(overlap_row);
   table.AddRow(allocs_row);
 
   EmitTable(table, options);
@@ -499,9 +473,8 @@ int Main(int argc, const char* const* argv) {
       "Aggregate/Apply rounds, uniform-per-round sampling: pr3-equivalent = "
       "fresh upload buffers per round + bitmap negative resampling (the "
       "pre-PR client path); serial = recycled buffers, no pool; parallel-agg "
-      "= pool LocalTrain + sharded aggregation; pipelined = round t+1 "
-      "LocalTrain overlapped with round t server step. allocs = sparse-"
-      "container heap growths per steady-state round)");
+      "= pool LocalTrain + sharded aggregation. allocs = sparse-container "
+      "heap growths per steady-state parallel-agg round)");
   return 0;
 }
 

@@ -21,15 +21,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-}
-
 void ThreadPool::SubmitBatch(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
   const std::size_t count = tasks.size();

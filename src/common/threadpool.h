@@ -10,13 +10,14 @@
 #include <vector>
 
 /// \file
-/// Fixed-size thread pool plus a blocking ParallelFor. Used to fan the
+/// Fixed-size fork-join thread pool: the only way in is a blocking
+/// ParallelFor, so no work outlives the call that forked it. Used to fan the
 /// per-client local training of a federated round and the full-ranking metric
 /// evaluation (n_users x n_items score matrix) across cores.
 
 namespace fedrec {
 
-/// Fixed pool of worker threads executing submitted closures FIFO.
+/// Fixed pool of worker threads running the chunks of ParallelFor calls.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (>=1; values are clamped up to 1).
@@ -30,16 +31,6 @@ class ThreadPool {
 
   std::size_t thread_count() const { return workers_.size(); }
 
-  /// Enqueues a task. Tasks must not throw.
-  void Submit(std::function<void()> task);
-
-  /// Enqueues a batch of tasks with a single lock acquisition and a single
-  /// wake-up, instead of one lock + notify per task. Tasks must not throw.
-  void SubmitBatch(std::vector<std::function<void()>> tasks);
-
-  /// Blocks until every submitted task has finished executing.
-  void Wait();
-
   /// Executes fn(i) for i in [begin, end) across the pool with *static*
   /// chunking: the range is split up front into contiguous chunks of `grain`
   /// iterations (grain = 0 derives a chunk size from the thread count), one
@@ -51,6 +42,11 @@ class ThreadPool {
                    const std::function<void(std::size_t)>& fn);
 
  private:
+  /// Enqueues a batch of tasks with a single lock acquisition and a single
+  /// wake-up, instead of one lock + notify per task. Tasks must not throw.
+  void SubmitBatch(std::vector<std::function<void()>> tasks);
+  /// Blocks until every submitted task has finished executing.
+  void Wait();
   void WorkerLoop();
 
   std::vector<std::thread> workers_;

@@ -43,8 +43,8 @@ class Client {
   void ResampleNegatives(std::size_t num_items, std::size_t negatives_per_positive);
 
   /// Current negative set V-_i' (see ResampleNegatives). Exposed so the round
-  /// engine's pipelining conflict check can predict which item rows this
-  /// client's next TrainRoundInto will touch.
+  /// engine can prefetch the item rows this client's next TrainRoundInto will
+  /// read, and so checkpoints can capture the open epoch's negatives.
   const std::vector<std::uint32_t>& negatives() const { return negatives_; }
 
   /// Executes one local training step against the shared item matrix:

@@ -31,14 +31,9 @@
 /// per round instead of materializing a dense num_items x dim gradient, and
 /// the aggregation itself shards across the pool by contiguous row ranges.
 ///
-/// Under ParticipationMode::kUniformPerRound with a pool, RunRound pipelines
-/// adjacent rounds: round t+1's selection is pre-drawn (the server rng is
-/// only ever consumed by selection, so the draw order matches the serial
-/// schedule), and when the touched-row sets of round t's uploads and round
-/// t+1's positives+negatives are disjoint, round t+1's LocalTrain runs on
-/// the pool while this thread aggregates and applies round t. On conflict
-/// (or whenever malicious clients are in the next draw) the engine falls
-/// back to the serial schedule, so results are bit-identical either way.
+/// RunRound is one straight-line pass over the stages; the pool only ever
+/// parallelizes *within* a stage (LocalTrain's clients, Aggregate's row
+/// ranges), never across rounds.
 ///
 /// Simulation (fed/simulation.h) drives the engine epoch by epoch; tests and
 /// custom drivers may also invoke the stages individually.
@@ -46,11 +41,8 @@
 namespace fedrec {
 
 /// Per-round server state, reused across rounds (capacity is never released).
-/// The `next_*` members double-buffer the pipelined schedule: while round t
-/// aggregates and applies, round t+1's selection and uploads build up in
-/// them, and the buffers swap when the round advances — every ClientUpdate
-/// slot (and its SparseRowMatrix heap buffers) is recycled via
-/// Client::TrainRoundInto, so steady-state rounds allocate nothing.
+/// Every ClientUpdate slot (and its SparseRowMatrix heap buffers) is recycled
+/// via Client::TrainRoundInto, so steady-state rounds allocate nothing.
 struct RoundWorkspace {
   /// Participation permutation. Shuffled-epoch mode shuffles the whole vector
   /// once per epoch; uniform-per-round mode draws each round's sample via a
@@ -67,18 +59,6 @@ struct RoundWorkspace {
   AggregationWorkspace aggregation;
   /// The round's touched-row aggregate.
   SparseRoundDelta delta;
-
-  // -- Pipelining double buffers (kUniformPerRound + pool only) -------------
-  /// Round t+1's selection, pre-drawn during round t (same server-rng draw
-  /// order as the serial schedule: nothing else consumes that stream).
-  std::vector<std::uint32_t> next_selected_benign;
-  std::vector<std::uint32_t> next_selected_malicious;
-  /// Round t+1's benign uploads when its LocalTrain overlapped round t.
-  std::vector<ClientUpdate> next_updates;
-  /// Conflict-check scratch: sorted touched-row sets of the current round's
-  /// uploads and of the next selection's positives+negatives.
-  std::vector<std::size_t> touched_current;
-  std::vector<std::size_t> touched_next;
 };
 
 /// Read-only view of the server state an attacker legitimately observes when
@@ -125,22 +105,13 @@ using RoundObserver =
 
 /// Serializable engine-progress state for shard/checkpoint.h: the round
 /// counters, the participation order (mutated by every selection draw, so it
-/// is stream state), the failure counters, and the pipelining double buffer
-/// (round t+1's pre-drawn selection and possibly its already-trained uploads
-/// — both consumed rng, so a checkpoint must carry them).
+/// is stream state), the failure counters and the virtual clock.
 struct RoundEngineSnapshot {
   std::size_t epoch = 0;
   std::size_t round_in_epoch = 0;
   std::size_t rounds_this_epoch = 0;
   std::size_t global_round = 0;
-  std::size_t pipelined_rounds = 0;
   std::vector<std::uint32_t> order;
-  bool have_next_selection = false;
-  std::vector<std::uint32_t> next_selected_benign;
-  std::vector<std::uint32_t> next_selected_malicious;
-  bool have_next_updates = false;
-  std::vector<ClientUpdate> next_updates;
-  double next_loss = 0.0;
   FaultStats fault_stats;
   std::uint64_t clock_ticks = 0;
 };
@@ -206,16 +177,12 @@ class RoundEngine {
   std::size_t global_round() const { return global_round_; }
   std::size_t num_malicious() const { return num_malicious_; }
   const RoundWorkspace& workspace() const { return workspace_; }
-  /// Rounds whose LocalTrain overlapped the previous round's Aggregate/Apply
-  /// (kUniformPerRound pipelining; 0 under the serial schedule).
-  std::size_t pipelined_rounds() const { return pipelined_rounds_; }
 
   // -- Fault tolerance ------------------------------------------------------
 
   /// Installs a borrowed fault plan (null to clear). A disabled plan leaves
   /// every path bit-identical to no plan; an enabled one activates the
-  /// transit-fault and quorum stages (and disables round pipelining — the
-  /// serial schedule is bit-identical anyway, so only throughput changes).
+  /// transit-fault and quorum stages.
   void SetFaultPlan(const FaultPlan* plan) { fault_plan_ = plan; }
   const FaultPlan* fault_plan() const { return fault_plan_; }
   bool faults_active() const {
@@ -250,24 +217,6 @@ class RoundEngine {
   }
   RoundContext MakeContext() const;
 
-  /// Draws one round's participants into the given vectors (shared by
-  /// Select() and the pipelined pre-sampling of round t+1).
-  void SelectInto(std::vector<std::uint32_t>& selected_benign,
-                  std::vector<std::uint32_t>& selected_malicious);
-  /// True when the *next* round may be pre-sampled and considered for
-  /// pipelining: uniform participation, pool present, pipelining enabled,
-  /// and another round left in this epoch.
-  bool CanPipelineNextRound() const;
-  /// True when the current round's uploads and the next selection's
-  /// positive+negative sets share an item row (sorted-union intersection).
-  bool TouchedRowsConflict();
-  /// Enqueues next_selected_benign's TrainRoundInto calls on the pool
-  /// without waiting (static chunks, one task per pool thread).
-  void LaunchNextLocalTrain();
-  /// Aggregate stage with an explicit pool (null = inline on this thread,
-  /// used while the pool is busy with the overlapped LocalTrain).
-  void AggregateWith(ThreadPool* pool);
-
   const FedConfig* config_;
   MfModel* model_;
   std::vector<Client>* benign_clients_;
@@ -280,12 +229,6 @@ class RoundEngine {
   std::size_t round_in_epoch_ = 0;
   std::size_t rounds_this_epoch_ = 0;
   std::size_t global_round_ = 0;
-  // Pipeline state: whether workspace_.next_* holds round t+1's selection
-  // (and, when its LocalTrain already overlapped round t, its uploads).
-  bool have_next_selection_ = false;
-  bool have_next_updates_ = false;
-  double next_loss_ = 0.0;
-  std::size_t pipelined_rounds_ = 0;
   // Fault state: borrowed plan (null = fault-free), the current round's
   // transit draw (retained buffer), cumulative stats, the virtual clock, and
   // the surviving-upload counters ApplyTransitFaults maintains.

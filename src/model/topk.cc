@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.h"
-
 namespace fedrec {
 
 namespace {
@@ -59,21 +57,6 @@ void TopKIndicesExcludingSortedInto(std::span<const float> scores,
     }
   }
   std::sort_heap(out.begin(), out.end(), worse_first);
-}
-
-std::size_t RankOfIndex(std::span<const float> scores, std::uint32_t target_index,
-                        std::span<const std::uint32_t> sorted_excluded) {
-  FEDREC_CHECK_LT(target_index, scores.size());
-  const float target_score = scores[target_index];
-  std::size_t rank = 0;
-  for (std::uint32_t idx = 0; idx < scores.size(); ++idx) {
-    if (idx == target_index) continue;
-    if (std::binary_search(sorted_excluded.begin(), sorted_excluded.end(), idx)) {
-      continue;
-    }
-    if (Better(scores[idx], idx, target_score, target_index)) ++rank;
-  }
-  return rank;
 }
 
 }  // namespace fedrec

@@ -39,13 +39,6 @@ void TopKIndicesExcludingSortedInto(std::span<const float> scores,
                                     std::span<const std::uint32_t> sorted_excluded,
                                     std::vector<std::uint32_t>& out);
 
-/// Rank (0-based) of `target_index` among all indices not excluded, ordered by
-/// descending score with the same tie-break as TopKIndicesExcludingSortedInto.
-/// Returns the number of non-excluded items with strictly better
-/// (score, -index) ordering.
-std::size_t RankOfIndex(std::span<const float> scores, std::uint32_t target_index,
-                        std::span<const std::uint32_t> sorted_excluded);
-
 }  // namespace fedrec
 
 #endif  // FEDREC_MODEL_TOPK_H_

@@ -1,6 +1,12 @@
 #include "shard/federation_service.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <array>
+#include <cstring>
 #include <span>
 #include <string>
 #include <thread>
@@ -54,13 +60,39 @@ std::string EncodeClientUpload(const SparseRowMatrix& gradients,
   return writer.buffer();
 }
 
-/// Blocking test client: one TCP connection to the service.
+/// Loopback connect whose SO_RCVBUF is capped to `rcvbuf_bytes` *before*
+/// the handshake: the TCP window scale is fixed at connect time, so a cap set
+/// afterwards would leave the advertised window at its autotuned size.
+int ConnectWithReceiveBuffer(std::uint16_t port, int rcvbuf_bytes) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  FEDREC_CHECK_GE(fd, 0) << "socket()";
+  FEDREC_CHECK_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes,
+                               sizeof(rcvbuf_bytes)),
+                  0)
+      << "setsockopt(SO_RCVBUF)";
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  sockaddr generic{};
+  static_assert(sizeof(generic) >= sizeof(addr));
+  std::memcpy(&generic, &addr, sizeof(addr));
+  FEDREC_CHECK_EQ(::connect(fd, &generic, sizeof(addr)), 0) << "connect()";
+  return fd;
+}
+
+/// Blocking test client: one TCP connection to the service. `rcvbuf_bytes`
+/// > 0 caps the client's kernel receive buffer (see ConnectWithReceiveBuffer).
 class TestClient {
  public:
-  explicit TestClient(std::uint16_t port) {
-    Result<int> fd = TcpConnect("127.0.0.1", port);
-    fd.status().CheckOK();
-    fd_ = fd.value();
+  explicit TestClient(std::uint16_t port, int rcvbuf_bytes = 0) {
+    if (rcvbuf_bytes > 0) {
+      fd_ = ConnectWithReceiveBuffer(port, rcvbuf_bytes);
+    } else {
+      Result<int> fd = TcpConnect("127.0.0.1", port);
+      fd.status().CheckOK();
+      fd_ = fd.value();
+    }
     SetIoTimeout(fd_, 5000).CheckOK();
   }
   ~TestClient() { CloseSocket(fd_); }
@@ -366,7 +398,9 @@ struct OverloadOutcome {
 
 /// One overload run: a client fires `uploads` rounds at a service whose
 /// accepted sockets have a one-byte SO_SNDBUF, and never reads a single
-/// reply. Returns the shed/allocation ledger of the run.
+/// reply. The client's own receive buffer is capped too: left to autotune,
+/// it can grow large enough to absorb every ack, so the service's queue
+/// never reaches high water. Returns the shed/allocation ledger of the run.
 OverloadOutcome RunOverload(std::size_t uploads) {
   Rng init(11);
   MfModel model(kNumItems, ModelParams(), init);
@@ -379,7 +413,7 @@ OverloadOutcome RunOverload(std::size_t uploads) {
   OverloadOutcome outcome;
   {
     ServiceHarness harness(&model, /*num_shards=*/1, options);
-    TestClient client(harness.port());
+    TestClient client(harness.port(), /*rcvbuf_bytes=*/4096);
     const std::array<std::size_t, 1> rows = {7};
     const std::string upload =
         EncodeClientUpload(MakeGradients(3, 0, rows), 3);

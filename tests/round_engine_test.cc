@@ -348,7 +348,7 @@ TEST(ParticipationTest, UniformDefaultRoundCountMatchesShuffledEpochs) {
   EXPECT_EQ(sim.global_round(), (data.num_users() + 15) / 16);
 }
 
-// --- Round pipelining ------------------------------------------------------
+// --- Pooled uniform participation ------------------------------------------
 
 FedConfig UniformConfig(std::size_t clients_per_round, std::size_t rounds) {
   FedConfig config = SmallConfig();
@@ -361,7 +361,7 @@ FedConfig UniformConfig(std::size_t clients_per_round, std::size_t rounds) {
 Dataset SparseRegimeData() {
   // Large catalogue, few interactions per user, near-uniform item popularity
   // (no Zipf head shared by everyone): consecutive tiny selections rarely
-  // share item rows, so most rounds are eligible for overlap.
+  // share item rows.
   SyntheticConfig config;
   config.num_users = 50;
   config.num_items = 4000;
@@ -372,68 +372,39 @@ Dataset SparseRegimeData() {
   return GenerateSynthetic(config);
 }
 
-TEST(PipelineTest, NoConflictScheduleOverlapsAndStaysBitIdentical) {
-  const Dataset data = SparseRegimeData();
-  const FedConfig config = UniformConfig(3, 20);
+TEST(ParticipationTest, PooledUniformRoundsAreBitIdenticalToSerial) {
+  // A 4-thread pool parallelizes LocalTrain and Aggregate within each round;
+  // the trajectory must match the pool-free engine exactly, on a sparse
+  // catalogue (rounds rarely share rows), on a tiny one (every round pair
+  // shares rows) and with malicious clients in the draw.
+  struct Case {
+    const char* name;
+    Dataset data;
+    FedConfig config;
+    std::size_t num_malicious;
+    int epochs;
+  };
+  const Case cases[] = {
+      {"sparse", SparseRegimeData(), UniformConfig(3, 20), 0, 3},
+      {"small", SmallData(), UniformConfig(8, 12), 0, 2},
+      {"sparse+malicious", SparseRegimeData(), UniformConfig(3, 20), 6, 3},
+  };
   ThreadPool pool(4);
-  Simulation serial(data, config, 0, nullptr, nullptr);
-  Simulation pipelined(data, config, 0, nullptr, &pool);
-  for (int e = 0; e < 3; ++e) {
-    EXPECT_DOUBLE_EQ(serial.RunEpoch(), pipelined.RunEpoch());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    WorkspaceProbeCoordinator serial_coordinator;
+    WorkspaceProbeCoordinator pooled_coordinator;
+    const bool attacked = c.num_malicious > 0;
+    Simulation serial(c.data, c.config, c.num_malicious,
+                      attacked ? &serial_coordinator : nullptr, nullptr);
+    Simulation pooled(c.data, c.config, c.num_malicious,
+                      attacked ? &pooled_coordinator : nullptr, &pool);
+    for (int e = 0; e < c.epochs; ++e) {
+      EXPECT_DOUBLE_EQ(serial.RunEpoch(), pooled.RunEpoch());
+    }
+    EXPECT_TRUE(serial.model().item_factors() ==
+                pooled.model().item_factors());
   }
-  EXPECT_TRUE(serial.model().item_factors() ==
-              pipelined.model().item_factors());
-  // The serial engine never overlaps; the pooled one must actually have.
-  EXPECT_EQ(serial.engine().pipelined_rounds(), 0u);
-  EXPECT_GT(pipelined.engine().pipelined_rounds(), 0u);
-}
-
-TEST(PipelineTest, ConflictScheduleFallsBackToSerialAndStaysBitIdentical) {
-  // Tiny catalogue: every consecutive selection pair shares rows, so the
-  // engine must take the serial fallback on every round.
-  const Dataset data = SmallData();
-  const FedConfig config = UniformConfig(8, 12);
-  ThreadPool pool(4);
-  Simulation serial(data, config, 0, nullptr, nullptr);
-  Simulation pipelined(data, config, 0, nullptr, &pool);
-  for (int e = 0; e < 2; ++e) {
-    EXPECT_DOUBLE_EQ(serial.RunEpoch(), pipelined.RunEpoch());
-  }
-  EXPECT_TRUE(serial.model().item_factors() ==
-              pipelined.model().item_factors());
-  EXPECT_EQ(pipelined.engine().pipelined_rounds(), 0u);
-}
-
-TEST(PipelineTest, DisableFlagForcesSerialSchedule) {
-  const Dataset data = SparseRegimeData();
-  FedConfig config = UniformConfig(3, 20);
-  config.pipeline_rounds = false;
-  ThreadPool pool(4);
-  Simulation serial(data, config, 0, nullptr, nullptr);
-  Simulation parallel(data, config, 0, nullptr, &pool);
-  for (int e = 0; e < 2; ++e) {
-    EXPECT_DOUBLE_EQ(serial.RunEpoch(), parallel.RunEpoch());
-  }
-  EXPECT_TRUE(serial.model().item_factors() == parallel.model().item_factors());
-  EXPECT_EQ(parallel.engine().pipelined_rounds(), 0u);
-}
-
-TEST(PipelineTest, MaliciousRoundsStayBitIdenticalUnderPipelining) {
-  // With malicious clients in the draw the engine only overlaps rounds whose
-  // *next* selection is purely benign; either way the trajectory must match
-  // the serial schedule exactly.
-  const Dataset data = SparseRegimeData();
-  const FedConfig config = UniformConfig(3, 20);
-  ThreadPool pool(4);
-  WorkspaceProbeCoordinator serial_coordinator;
-  WorkspaceProbeCoordinator pipelined_coordinator;
-  Simulation serial(data, config, 6, &serial_coordinator, nullptr);
-  Simulation pipelined(data, config, 6, &pipelined_coordinator, &pool);
-  for (int e = 0; e < 3; ++e) {
-    EXPECT_DOUBLE_EQ(serial.RunEpoch(), pipelined.RunEpoch());
-  }
-  EXPECT_TRUE(serial.model().item_factors() ==
-              pipelined.model().item_factors());
 }
 
 TEST(RoundEngineTest, SteadyStateRoundsAreSparseAllocationFree) {

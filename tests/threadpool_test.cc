@@ -12,33 +12,31 @@ namespace {
 TEST(ThreadPoolTest, ExecutesSubmittedTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
+  pool.ParallelFor(0, 100, /*grain=*/1,
+                   [&counter](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, WaitWithNoWorkReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not deadlock
+TEST(ThreadPoolTest, IdlePoolShutsDownCleanly) {
+  ThreadPool pool(2);  // destructor with no work ever forked must not hang
 }
 
 TEST(ThreadPoolTest, ClampsToAtLeastOneThread) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.thread_count(), 1u);
   std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
+  pool.ParallelFor(0, 3, /*grain=*/1,
+                   [&counter](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 3);
 }
 
 TEST(ThreadPoolTest, MultipleWaitCycles) {
+  // Each ParallelFor forks, joins, and leaves the pool ready for the next.
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   for (int cycle = 0; cycle < 5; ++cycle) {
-    for (int i = 0; i < 20; ++i) pool.Submit([&counter] { counter.fetch_add(1); });
-    pool.Wait();
+    pool.ParallelFor(0, 20, /*grain=*/1,
+                     [&counter](std::size_t) { counter.fetch_add(1); });
     EXPECT_EQ(counter.load(), (cycle + 1) * 20);
   }
 }

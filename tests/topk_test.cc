@@ -157,32 +157,5 @@ TEST(TopKExcludingSortedTest, ReusedBufferIsOverwrittenWithoutReallocation) {
   EXPECT_EQ(out.data(), data);
 }
 
-TEST(RankOfIndexTest, BasicRanks) {
-  const std::vector<float> scores{0.1f, 0.9f, 0.5f};
-  const std::vector<std::uint32_t> none;
-  EXPECT_EQ(RankOfIndex(scores, 1, none), 0u);
-  EXPECT_EQ(RankOfIndex(scores, 2, none), 1u);
-  EXPECT_EQ(RankOfIndex(scores, 0, none), 2u);
-}
-
-TEST(RankOfIndexTest, ExclusionsSkipped) {
-  const std::vector<float> scores{0.9f, 0.8f, 0.7f};
-  const std::vector<std::uint32_t> excluded{0};
-  EXPECT_EQ(RankOfIndex(scores, 2, excluded), 1u);  // only item 1 is better
-}
-
-TEST(RankOfIndexTest, TieBreakConsistentWithTopK) {
-  const std::vector<float> scores{0.5f, 0.5f};
-  const std::vector<std::uint32_t> none;
-  EXPECT_EQ(RankOfIndex(scores, 0, none), 0u);  // index 0 wins ties
-  EXPECT_EQ(RankOfIndex(scores, 1, none), 1u);
-}
-
-TEST(RankOfIndexTest, OutOfRangeAborts) {
-  const std::vector<float> scores{0.5f};
-  const std::vector<std::uint32_t> none;
-  EXPECT_DEATH(RankOfIndex(scores, 5, none), "");
-}
-
 }  // namespace
 }  // namespace fedrec
