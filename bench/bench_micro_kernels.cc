@@ -1,6 +1,7 @@
 /// Micro-benchmarks (google-benchmark) of the hot kernels behind the
 /// simulation and the attack: BPR local step, full-catalog scoring, top-K
-/// selection, poisoned-gradient computation, and the aggregation rules.
+/// selection, poisoned-gradient computation, the aggregation rules, and the
+/// shard wire's CRC-32 and FRWU decode.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "fed/client.h"
 #include "model/bpr.h"
 #include "model/topk.h"
+#include "shard/wire.h"
 
 namespace fedrec {
 namespace {
@@ -270,6 +272,44 @@ void BM_WeightedSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WeightedSample);
+
+/// CRC-32 over one shard's slice of an upload (~7.5 KB) and over one full
+/// 219-row x 32-dim upload (~30 KB).
+void BM_Crc32(benchmark::State& state) {
+  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
+  Rng rng(10);
+  std::vector<unsigned char> buffer(bytes);
+  for (auto& b : buffer) b = static_cast<unsigned char>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(0, buffer.data(), buffer.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32)->Arg(7500)->Arg(30000);
+
+/// Decodes one FRWU upload of `rows` 32-dim rows (unsorted ids, as clients
+/// send them) into a recycled matrix: checksum verify plus row load.
+void BM_DecodeUpload(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  Rng rng(11);
+  SparseRowMatrix upload(32);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (float& v : upload.RowMutable(i * 7919 % 67280)) {
+      v = static_cast<float>(rng.NextGaussian(0.0, 0.1));
+    }
+  }
+  BinaryWriter writer;
+  EncodeUpload(upload, /*source=*/1, writer);
+  SparseRowMatrix decoded;
+  for (auto _ : state) {
+    BinaryReader reader = BinaryReader::View(writer.buffer());
+    benchmark::DoNotOptimize(DecodeUpload(reader, decoded).ok());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(writer.buffer().size()));
+}
+BENCHMARK(BM_DecodeUpload)->Arg(219);
 
 }  // namespace
 }  // namespace fedrec

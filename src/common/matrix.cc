@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "common/math.h"
 
@@ -69,12 +71,18 @@ std::span<float> SparseRowMatrix::RowMutable(std::size_t row) {
   if (slot == kNpos) {
     slot = index_.size();
     internal::NoteSparseGrowth(index_.size() + 1, index_.capacity());
-    internal::NoteSparseGrowth(values_.size() + cols_, values_.capacity());
     internal::NoteSparseGrowth(lookup_rows_.size() + 1, lookup_rows_.capacity());
     internal::NoteSparseGrowth(lookup_slots_.size() + 1,
                                lookup_slots_.capacity());
     index_.push_back(row);
-    values_.resize(values_.size() + cols_, 0.0f);
+    const std::size_t needed = (slot + 1) * cols_;
+    if (values_.size() < needed) {
+      internal::NoteSparseGrowth(needed, values_.capacity());
+      values_.resize(needed);
+    }
+    // Reused high-water storage may be stale: a new row starts at zero.
+    std::fill_n(values_.begin() + static_cast<std::ptrdiff_t>(slot * cols_),
+                cols_, 0.0f);
     const auto it =
         std::lower_bound(lookup_rows_.begin(), lookup_rows_.end(), row);
     const auto pos = it - lookup_rows_.begin();
@@ -96,9 +104,62 @@ bool SparseRowMatrix::Contains(std::size_t row) const {
 
 void SparseRowMatrix::Clear() {
   index_.clear();
-  values_.clear();
   lookup_rows_.clear();
   lookup_slots_.clear();
+}
+
+namespace {
+
+/// Sets `buffer`'s size to `size`, growing its capacity geometrically as
+/// push_back would: the next reload a few rows larger then fits in place.
+template <typename T>
+void GrowToSize(std::vector<T>& buffer, std::size_t size) {
+  if (size > buffer.capacity()) {
+    internal::NoteSparseGrowth(size, buffer.capacity());
+    buffer.reserve(std::max(size, 2 * buffer.capacity()));
+  }
+  buffer.resize(size);
+}
+
+}  // namespace
+
+// fedrec:hot — the FRWU decode bulk load: every upload of every round lands
+// here; growth happens only up to the high-water row count.
+bool SparseRowMatrix::AssignPackedRows(std::size_t cols, const char* records,
+                                       std::size_t row_count,
+                                       std::size_t& duplicate) {
+  cols_ = cols;
+  GrowToSize(index_, row_count);
+  GrowToSize(lookup_rows_, row_count);
+  GrowToSize(lookup_slots_, row_count);
+  // values_ only ever grows: its stale tail is never read.
+  if (values_.size() < row_count * cols) GrowToSize(values_, row_count * cols);
+  const std::size_t value_bytes = cols * sizeof(float);
+  for (std::size_t slot = 0; slot < row_count; ++slot) {
+    std::uint64_t id;
+    std::memcpy(&id, records, sizeof(id));
+    index_[slot] = static_cast<std::size_t>(id);
+    if (value_bytes != 0) {
+      std::memcpy(values_.data() + slot * cols, records + sizeof(id),
+                  value_bytes);
+    }
+    records += sizeof(id) + value_bytes;
+  }
+
+  std::iota(lookup_slots_.begin(), lookup_slots_.end(), std::size_t{0});
+  std::sort(lookup_slots_.begin(), lookup_slots_.end(),
+            [this](std::size_t a, std::size_t b) {
+              return index_[a] < index_[b];
+            });
+  for (std::size_t i = 0; i < row_count; ++i) {
+    lookup_rows_[i] = index_[lookup_slots_[i]];
+    if (i > 0 && lookup_rows_[i] == lookup_rows_[i - 1]) {
+      duplicate = lookup_rows_[i];
+      Clear();
+      return false;
+    }
+  }
+  return true;
 }
 
 void SparseRowMatrix::AddTo(Matrix& target, float alpha) const {
@@ -120,8 +181,9 @@ void SparseRowMatrix::ClipRows(float max_norm) {
 
 void SparseRowMatrix::AddGaussianNoise(Rng& rng, float stddev) {
   if (stddev <= 0.0f) return;
-  for (float& v : values_) {
-    v += static_cast<float>(rng.NextGaussian(0.0, stddev));
+  const std::size_t count = index_.size() * cols_;
+  for (std::size_t i = 0; i < count; ++i) {
+    values_[i] += static_cast<float>(rng.NextGaussian(0.0, stddev));
   }
 }
 

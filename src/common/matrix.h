@@ -153,6 +153,17 @@ class SparseRowMatrix {
   /// Removes all rows (keeps the column count).
   void Clear();
 
+  /// Replaces every row with `row_count` packed records, each a native-order
+  /// u64 row id followed by `cols` floats (the FRWU payload layout), keeping
+  /// the records' order as row_ids(). One pass appends each id and copies its
+  /// floats in with a single copy; the id->slot lookup is then built with one
+  /// sort. Returns false, leaving the matrix empty, when an id repeats;
+  /// `duplicate` then holds the smallest repeated id. Retained capacity is
+  /// reused, so a same-shaped reload allocates nothing.
+  [[nodiscard]] bool AssignPackedRows(std::size_t cols, const char* records,
+                                      std::size_t row_count,
+                                      std::size_t& duplicate);
+
   /// Drops all rows and sets the column count; every internal buffer keeps
   /// its capacity, so refilling a recycled upload with a same-shaped round
   /// performs no heap allocations (the basis of Client::TrainRoundInto).
@@ -179,7 +190,10 @@ class SparseRowMatrix {
  private:
   std::size_t cols_;
   std::vector<std::size_t> index_;   // row ids, insertion order
-  std::vector<float> values_;        // row_count * cols, row-major
+  // Row-major values of the first row_count() rows. A high-water buffer like
+  // SparseRoundDelta's: Clear() keeps its size, so floats past
+  // row_count() * cols are stale leftovers that no reader touches.
+  std::vector<float> values_;
   // Row-id -> slot map as two parallel sorted vectors. Splitting keys from
   // slots keeps the binary-searched keys contiguous in cache; for the scales
   // used here (kappa <= a few hundred rows) this beats any node-based map.

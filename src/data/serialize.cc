@@ -115,6 +115,12 @@ Result<std::string_view> BinaryReader::PeekBytes(std::size_t bytes) {
   return data().substr(position_, bytes);
 }
 
+Status BinaryReader::Skip(std::size_t bytes) {
+  FEDREC_RETURN_NOT_OK(Need(bytes));
+  position_ += bytes;
+  return Status::OK();
+}
+
 Status SaveMatrix(const Matrix& matrix, const std::string& path) {
   BinaryWriter writer;
   writer.WriteU32(kMatrixMagic);

@@ -78,6 +78,10 @@ class BinaryReader {
   /// validation reads the payload once before parsing it.
   [[nodiscard]] Result<std::string_view> PeekBytes(std::size_t bytes);
 
+  /// Consumes the next `bytes` bytes — the counterpart of PeekBytes for a
+  /// caller that parsed the peeked view itself.
+  [[nodiscard]] Status Skip(std::size_t bytes);
+
   std::size_t position() const { return position_; }
   std::size_t remaining() const { return data().size() - position_; }
   bool exhausted() const { return position_ >= data().size(); }

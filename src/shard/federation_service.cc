@@ -42,7 +42,7 @@ FederationService::FederationService(MfModel* model, ShardTransport* transport,
   for (ClientUpdate& update : updates_) {
     update.item_gradients.Reset(model_->dim());
   }
-  participants_.assign(options_.round_size, -1);
+  participants_.assign(options_.round_size, Participant{});
   // One-time metric registration (never on the upload or round paths).
   obs::Registry& registry = obs::Registry::Global();
   metrics_.rounds_completed = registry.GetGauge("fedrec_coord_rounds_completed");
@@ -186,6 +186,7 @@ void FederationService::AcceptPending() {
     std::unique_ptr<Connection>& slot = conns_[static_cast<std::size_t>(fd)];
     if (slot == nullptr) slot = std::make_unique<Connection>();
     slot->fd = fd;
+    slot->generation = ++accepted_;
     slot->reader.Reset();
     slot->reader.set_max_payload(options_.max_frame_payload);
     slot->out.Reset();
@@ -373,7 +374,7 @@ bool FederationService::HandleUpload(int fd, Connection& conn,
   slot.user = static_cast<std::uint32_t>(source.value());
   slot.loss = 0.0;
   slot.pair_count = 0;
-  participants_[pending_] = fd;
+  participants_[pending_] = Participant{fd, conn.generation};
   ++pending_;
   ++stats_.uploads_received;
   stats_.upload_bytes += payload.size();
@@ -428,18 +429,22 @@ void FederationService::RunRound() {
   }
   ++stats_.rounds_completed;
 
-  // Ack every contributed upload on its (still-open) connection. An fd
-  // recycled mid-round would mis-target the ack; bench clients hold their
-  // connection for the whole run, so the window is acceptable here.
+  // Ack every contributed upload on the connection that sent it, if that
+  // connection is still open.
   scratch_.Clear();
   scratch_.WriteU64(round_);
   ++round_;
   for (std::size_t i = 0; i < options_.round_size; ++i) {
-    const int fd = participants_[i];
-    participants_[i] = -1;
+    const Participant sender = participants_[i];
+    participants_[i] = Participant{};
+    const int fd = sender.fd;
     if (fd < 0 || static_cast<std::size_t>(fd) >= conns_.size()) continue;
     Connection* conn = conns_[static_cast<std::size_t>(fd)].get();
-    if (conn == nullptr || conn->fd != fd) continue;  // left mid-round
+    // Left mid-round, or the fd now serves a newer connection.
+    if (conn == nullptr || conn->fd != fd ||
+        conn->generation != sender.generation) {
+      continue;
+    }
     if (!ShedIfOverloaded(*conn)) {
       const std::array<std::string_view, 1> pieces = {
           std::string_view(scratch_.buffer())};

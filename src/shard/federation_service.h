@@ -111,6 +111,9 @@ class FederationService {
  private:
   struct Connection {
     int fd = -1;
+    /// Accept sequence number (from 1): tells apart connections that the
+    /// kernel handed the same fd number over the service's lifetime.
+    std::uint64_t generation = 0;
     FrameReader reader;
     SendQueue out;
     bool out_armed = false;      ///< EPOLLOUT currently in the epoll mask
@@ -162,7 +165,15 @@ class FederationService {
 
   std::vector<std::unique_ptr<Connection>> conns_;  ///< indexed by fd
   std::vector<ClientUpdate> updates_;   ///< round_size recycled slots
-  std::vector<int> participants_;       ///< fd that sent updates_[i]
+  /// The connection that sent one pending upload. Acks go out only when
+  /// the fd still holds that generation, so a connection that closed
+  /// mid-round never passes its ack to a newer one on a recycled fd.
+  struct Participant {
+    int fd = -1;
+    std::uint64_t generation = 0;
+  };
+  std::vector<Participant> participants_;  ///< sender of updates_[i]
+  std::uint64_t accepted_ = 0;          ///< generation of the newest accept
   std::size_t pending_ = 0;             ///< filled prefix of updates_
   std::uint64_t round_ = 0;
   SparseRoundDelta merged_;

@@ -39,6 +39,14 @@ namespace fedrec {
 /// continuing from `seed` (pass 0 to start a new checksum).
 std::uint32_t Crc32(std::uint32_t seed, const void* data, std::size_t size);
 
+namespace internal {
+/// The slice-by-8 table kernel on its own: what Crc32 runs on CPUs without
+/// PCLMULQDQ, and the reference wire_test checks the folded path against.
+/// Not for production callers.
+std::uint32_t Crc32Table(std::uint32_t seed, const void* data,
+                         std::size_t size);
+}  // namespace internal
+
 /// Appends one FRWU message carrying the rows of `upload` whose slot indices
 /// are listed in `slots` (in that order — the router preserves upload order,
 /// which keeps every row's contributor sequence identical to the

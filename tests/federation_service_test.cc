@@ -1,12 +1,15 @@
 #include "shard/federation_service.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -60,6 +63,18 @@ std::string EncodeClientUpload(const SparseRowMatrix& gradients,
   return writer.buffer();
 }
 
+/// Connects the unconnected socket `fd` to the loopback service at `port`.
+void ConnectLoopback(int fd, std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  sockaddr generic{};
+  static_assert(sizeof(generic) >= sizeof(addr));
+  std::memcpy(&generic, &addr, sizeof(addr));
+  FEDREC_CHECK_EQ(::connect(fd, &generic, sizeof(addr)), 0) << "connect()";
+}
+
 /// Loopback connect whose SO_RCVBUF is capped to `rcvbuf_bytes` *before*
 /// the handshake: the TCP window scale is fixed at connect time, so a cap set
 /// afterwards would leave the advertised window at its autotuned size.
@@ -70,14 +85,7 @@ int ConnectWithReceiveBuffer(std::uint16_t port, int rcvbuf_bytes) {
                                sizeof(rcvbuf_bytes)),
                   0)
       << "setsockopt(SO_RCVBUF)";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  sockaddr generic{};
-  static_assert(sizeof(generic) >= sizeof(addr));
-  std::memcpy(&generic, &addr, sizeof(addr));
-  FEDREC_CHECK_EQ(::connect(fd, &generic, sizeof(addr)), 0) << "connect()";
+  ConnectLoopback(fd, port);
   return fd;
 }
 
@@ -93,6 +101,13 @@ class TestClient {
       fd.status().CheckOK();
       fd_ = fd.value();
     }
+    SetIoTimeout(fd_, 5000).CheckOK();
+  }
+  /// Takes over `socket_fd`, created earlier with socket(), and connects it:
+  /// the client's fd number is fixed before the connect.
+  TestClient(std::uint16_t port, int socket_fd, std::in_place_t)
+      : fd_(socket_fd) {
+    ConnectLoopback(fd_, port);
     SetIoTimeout(fd_, 5000).CheckOK();
   }
   ~TestClient() { CloseSocket(fd_); }
@@ -383,6 +398,114 @@ TEST(FederationServiceTest, ByteFlipMidStreamClosesAndSlotReusesClean) {
   EXPECT_EQ(fresh.ExpectRoundAck(), 1u);
   harness.Join();
   EXPECT_EQ(harness.stats().rounds_completed, 2u);
+}
+
+// --- Ack targeting across fd reuse -----------------------------------------
+
+/// Local address of socket `fd`.
+sockaddr_in LocalAddress(int fd) {
+  sockaddr generic{};
+  socklen_t length = sizeof(generic);
+  FEDREC_CHECK_EQ(::getsockname(fd, &generic, &length), 0) << "getsockname()";
+  sockaddr_in address{};
+  static_assert(sizeof(generic) >= sizeof(address));
+  std::memcpy(&address, &generic, sizeof(address));
+  return address;
+}
+
+/// True when socket `fd` is connected to `peer`.
+bool ConnectedTo(int fd, const sockaddr_in& peer) {
+  sockaddr generic{};
+  socklen_t length = sizeof(generic);
+  if (::getpeername(fd, &generic, &length) != 0) return false;
+  sockaddr_in address{};
+  std::memcpy(&address, &generic, sizeof(address));
+  return address.sin_port == peer.sin_port &&
+         address.sin_addr.s_addr == peer.sin_addr.s_addr;
+}
+
+/// The service's socket for the client at `client_address`, or -1. Test and
+/// service share this process's fd table, so the accepted socket is the one
+/// whose peer is the client's local address.
+int ServiceSideFd(const sockaddr_in& client_address) {
+  for (int fd = 0; fd < 4096; ++fd) {
+    if (ConnectedTo(fd, client_address)) return fd;
+  }
+  return -1;
+}
+
+/// A kStatsRequest round trip: the reply must be the next frame, so any ack
+/// queued before it fails the check.
+void ExpectStatsReplyNext(TestClient& client) {
+  client.SendFrame(FrameType::kStatsRequest, "");
+  EXPECT_EQ(client.NextFrame().first, FrameType::kStatsReply);
+}
+
+TEST(FederationServiceTest, AckSkipsNewConnectionOnARecycledFd) {
+  Rng init(13);
+  MfModel model(kNumItems, ModelParams(), init);
+  ServiceHarness harness(&model, /*num_shards=*/1, /*round_size=*/3,
+                         /*max_rounds=*/0);
+  const std::array<std::size_t, 1> rows = {3};
+  TestClient first(harness.port());
+  first.SendFrame(FrameType::kClientUpload,
+                  EncodeClientUpload(MakeGradients(1, 0, rows), 1));
+
+  // The leaver uploads (the stats round trip proves the service took it),
+  // then disconnects with the round still open. The newcomers' client
+  // sockets are created while the service still holds the leaver's fd, so
+  // none of them can take that number for itself.
+  std::array<int, 4> newcomer_sockets{};
+  int leaver_fd = -1;
+  {
+    TestClient leaver(harness.port());
+    leaver.SendFrame(FrameType::kClientUpload,
+                     EncodeClientUpload(MakeGradients(2, 0, rows), 2));
+    ExpectStatsReplyNext(leaver);
+    leaver_fd = ServiceSideFd(LocalAddress(leaver.fd()));
+    ASSERT_GE(leaver_fd, 0);
+    for (int& fd : newcomer_sockets) {
+      fd = ::socket(AF_INET, SOCK_STREAM, 0);
+      ASSERT_GE(fd, 0);
+    }
+  }
+  // Wait until the service has closed the leaver and released its fd.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (::fcntl(leaver_fd, F_GETFD) != -1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "service never closed the leaver";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Each accept takes the lowest free fd number, so one of the newcomers
+  // gets the leaver's fd. Newcomers contribute no upload.
+  std::vector<std::unique_ptr<TestClient>> newcomers;
+  bool recycled = false;
+  for (const int fd : newcomer_sockets) {
+    newcomers.push_back(
+        std::make_unique<TestClient>(harness.port(), fd, std::in_place));
+    ExpectStatsReplyNext(*newcomers.back());  // accepted
+    recycled |= ServiceSideFd(LocalAddress(fd)) == leaver_fd;
+  }
+  ASSERT_TRUE(recycled) << "no newcomer reused fd " << leaver_fd;
+
+  TestClient last(harness.port());
+  last.SendFrame(FrameType::kClientUpload,
+                 EncodeClientUpload(MakeGradients(3, 0, rows), 3));
+  EXPECT_EQ(last.ExpectRoundAck(), 0u);
+  EXPECT_EQ(first.ExpectRoundAck(), 0u);
+  // Exactly one ack per remaining participant, and none for a newcomer.
+  ExpectStatsReplyNext(first);
+  ExpectStatsReplyNext(last);
+  for (const std::unique_ptr<TestClient>& newcomer : newcomers) {
+    ExpectStatsReplyNext(*newcomer);
+  }
+
+  harness.RequestStop();
+  harness.Join();
+  EXPECT_EQ(harness.stats().rounds_completed, 1u);
+  EXPECT_EQ(harness.stats().uploads_received, 3u);
 }
 
 // --- S3: send-queue high water ----------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +56,43 @@ TEST(Crc32Test, MatchesTheIeeeCheckVector) {
   const std::uint32_t head = Crc32(0, check, 4);
   EXPECT_EQ(Crc32(head, check + 4, 5), 0xCBF43926u);
   EXPECT_EQ(Crc32(0, nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, FoldedPathMatchesTheTableKernel) {
+  // Every length across the 64-byte fold threshold and the 16-byte block
+  // tail, at every alignment of a 16-byte load, with random seeds.
+  Rng rng(31);
+  std::vector<unsigned char> buffer(1024 + 16);
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.Next());
+  }
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 1024; ++length) {
+      const auto seed = static_cast<std::uint32_t>(rng.Next());
+      const unsigned char* data = buffer.data() + offset;
+      ASSERT_EQ(Crc32(seed, data, length),
+                internal::Crc32Table(seed, data, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedCallsMatchOneShotAtEverySplit) {
+  Rng rng(32);
+  std::vector<unsigned char> buffer(200);
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.Next());
+  }
+  for (const std::size_t length : {63, 64, 65, 79, 80, 127, 128, 129, 200}) {
+    const auto seed = static_cast<std::uint32_t>(rng.Next());
+    const std::uint32_t whole = Crc32(seed, buffer.data(), length);
+    ASSERT_EQ(whole, internal::Crc32Table(seed, buffer.data(), length));
+    for (std::size_t split = 0; split <= length; ++split) {
+      const std::uint32_t head = Crc32(seed, buffer.data(), split);
+      ASSERT_EQ(Crc32(head, buffer.data() + split, length - split), whole)
+          << "length " << length << " split " << split;
+    }
+  }
 }
 
 TEST(WireUploadTest, RoundTripsAllRows) {
@@ -361,6 +400,180 @@ TEST(WireCorruptionSweepTest, EveryDeltaTruncationFailsWithCorruption) {
     ASSERT_FALSE(status.ok()) << "prefix " << keep << " decoded";
     EXPECT_EQ(status.code(), StatusCode::kCorruption);
   }
+}
+
+// --- Seeded multi-mutation sweep --------------------------------------------
+//
+// Beyond single edits: each case stacks 1-4 mutations drawn from bit flips,
+// byte sets, truncation, splices from another message, a duplicated row id,
+// two swapped rows and a rewritten cols/row_count. Half the cases re-seal
+// the checksum so the mutations reach the checks behind it. Every decode must
+// either fail with Corruption or succeed and re-encode to exactly the bytes
+// it consumed; it must never crash (asan/ubsan make that a real check).
+
+/// Where the pieces of an intact message sit, for the structure-aware edits.
+struct MessageLayout {
+  std::size_t counts = 0;      ///< offset of the u64 cols, then row_count
+  std::size_t rows_begin = 0;  ///< offset of the first row record
+  std::size_t row_bytes = 0;   ///< u64 id + cols floats
+  std::size_t rows = 0;
+};
+
+void MutateOnce(Rng& rng, const MessageLayout& layout,
+                const std::string& donor, std::string& wire) {
+  const auto pick = [&rng](std::size_t bound) {
+    return static_cast<std::size_t>(rng.NextBounded(bound));
+  };
+  const auto record = [&layout](std::size_t row) {
+    return layout.rows_begin + row * layout.row_bytes;
+  };
+  const bool rows_intact = wire.size() >= record(layout.rows);
+  switch (rng.NextBounded(8)) {
+    case 0:  // bit flip
+      if (!wire.empty()) {
+        wire[pick(wire.size())] ^= static_cast<char>(1u << pick(8));
+      }
+      break;
+    case 1: {  // byte set, biased to the boundary values
+      if (wire.empty()) break;
+      const unsigned char values[] = {0x00, 0x01, 0x7F, 0x80, 0xFF,
+                                      static_cast<unsigned char>(pick(256))};
+      wire[pick(wire.size())] = static_cast<char>(values[pick(6)]);
+      break;
+    }
+    case 2:  // truncate
+      wire.resize(pick(wire.size() + 1));
+      break;
+    case 3: {  // splice a donor chunk over a random range
+      const std::size_t at = pick(wire.size() + 1);
+      const std::size_t cut = pick(wire.size() - at + 1);
+      const std::size_t from = pick(donor.size());
+      const std::size_t take = pick(donor.size() - from + 1);
+      wire.replace(at, cut, donor, from, take);
+      break;
+    }
+    case 4:  // duplicate one row's id onto another
+      if (rows_intact && layout.rows >= 2) {
+        const std::size_t a = pick(layout.rows);
+        const std::size_t b = (a + 1 + pick(layout.rows - 1)) % layout.rows;
+        std::memcpy(wire.data() + record(b), wire.data() + record(a),
+                    sizeof(std::uint64_t));
+      }
+      break;
+    case 5:  // swap two whole row records
+      if (rows_intact && layout.rows >= 2) {
+        const std::size_t a = pick(layout.rows);
+        const std::size_t b = (a + 1 + pick(layout.rows - 1)) % layout.rows;
+        std::string saved = wire.substr(record(a), layout.row_bytes);
+        wire.replace(record(a), layout.row_bytes, wire, record(b),
+                     layout.row_bytes);
+        wire.replace(record(b), layout.row_bytes, saved);
+      }
+      break;
+    default: {  // rewrite cols (6) or row_count (7)
+      const std::size_t at =
+          layout.counts + (rng.NextBounded(2) == 0 ? 0 : sizeof(std::uint64_t));
+      if (wire.size() < at + sizeof(std::uint64_t)) break;
+      std::uint64_t value;
+      std::memcpy(&value, wire.data() + at, sizeof(value));
+      const std::uint64_t candidates[] = {0, value - 1, value + 1, value * 2,
+                                          ~std::uint64_t{0}};
+      value = candidates[pick(5)];
+      std::memcpy(wire.data() + at, &value, sizeof(value));
+      break;
+    }
+  }
+}
+
+/// Recomputes the v2 trailer (everything after magic + version) in place.
+void Reseal(std::string& wire) {
+  if (wire.size() < 12) return;
+  const std::uint32_t crc = Crc32(0, wire.data() + 8, wire.size() - 12);
+  std::memcpy(wire.data() + wire.size() - 4, &crc, sizeof(crc));
+}
+
+/// Runs `cases` mutated copies of `wire` through `check`, which decodes one
+/// and returns true when it was accepted.
+template <typename Check>
+std::pair<int, int> RunMutationSweep(std::uint64_t seed,
+                                     const MessageLayout& layout,
+                                     const std::string& wire,
+                                     const std::string& donor, int cases,
+                                     Check check) {
+  Rng rng(seed);
+  int accepted = 0;
+  for (int c = 0; c < cases; ++c) {
+    std::string mutated = wire;
+    const std::uint64_t edits = 1 + rng.NextBounded(4);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      MutateOnce(rng, layout, donor, mutated);
+    }
+    if (c % 2 == 0) Reseal(mutated);
+    if (check(mutated)) ++accepted;
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  return {accepted, cases - accepted};
+}
+
+TEST(WireMutationTest, UploadDecodeRejectsOrRoundTripsExactly) {
+  const SparseRowMatrix upload = MakeUpload(5, {4, 19, 33, 2, 60, 7}, 41);
+  const SparseRowMatrix other = MakeUpload(5, {8, 1, 90}, 42);
+  BinaryWriter writer;
+  EncodeUpload(upload, /*source=*/12, writer);
+  BinaryWriter donor;
+  EncodeUpload(other, /*source=*/13, donor);
+  const MessageLayout layout{/*counts=*/16, /*rows_begin=*/32,
+                             /*row_bytes=*/8 + 5 * sizeof(float),
+                             /*rows=*/6};
+  SparseRowMatrix decoded;
+  BinaryWriter again;
+  const auto [accepted, rejected] = RunMutationSweep(
+      /*seed=*/2022, layout, writer.buffer(), donor.buffer(), 4000,
+      [&](const std::string& mutated) {
+        BinaryReader reader = BinaryReader::View(mutated);
+        Result<std::uint64_t> source = DecodeUpload(reader, decoded);
+        if (!source.ok()) {
+          EXPECT_EQ(source.status().code(), StatusCode::kCorruption);
+          return false;
+        }
+        again.Clear();
+        EncodeUpload(decoded, source.value(), again);
+        EXPECT_EQ(again.buffer(), mutated.substr(0, reader.position()));
+        return true;
+      });
+  // Both outcomes occur: resealed row swaps are valid uploads.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(WireMutationTest, DeltaDecodeRejectsOrRoundTripsExactly) {
+  const SparseRoundDelta delta = MakeDelta(5, {2, 8, 40, 41, 77, 90}, 43);
+  const SparseRoundDelta other = MakeDelta(5, {1, 3, 5}, 44);
+  BinaryWriter writer;
+  EncodeDelta(delta, writer);
+  BinaryWriter donor;
+  EncodeDelta(other, donor);
+  const MessageLayout layout{/*counts=*/8, /*rows_begin=*/24,
+                             /*row_bytes=*/8 + 5 * sizeof(float),
+                             /*rows=*/6};
+  SparseRoundDelta decoded;
+  BinaryWriter again;
+  const auto [accepted, rejected] = RunMutationSweep(
+      /*seed=*/2023, layout, writer.buffer(), donor.buffer(), 4000,
+      [&](const std::string& mutated) {
+        BinaryReader reader = BinaryReader::View(mutated);
+        const Status status = DecodeDelta(reader, decoded);
+        if (!status.ok()) {
+          EXPECT_EQ(status.code(), StatusCode::kCorruption);
+          return false;
+        }
+        again.Clear();
+        EncodeDelta(decoded, again);
+        EXPECT_EQ(again.buffer(), mutated.substr(0, reader.position()));
+        return true;
+      });
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(WireSteadyStateTest, WarmEncodeDecodeLoopIsAllocationFree) {
