@@ -263,6 +263,54 @@ BENCHMARK(BM_AggregateSparse)
     ->Arg(static_cast<int>(AggregatorKind::kKrum))
     ->Unit(benchmark::kMillisecond);
 
+/// A catalogue-shaped round: 64 clients x 60 rows of 67280 items, dim 32.
+/// A head of 32 popular items has 3..64 contributors each (item h is
+/// uploaded by clients 0 .. count_h - 1); every other row is drawn from the
+/// long tail, so most row groups have one contributor. This is the shape
+/// where the coordinate-wise rules spend their time on the popular rows.
+std::vector<ClientUpdate> MakeSkewedRoundUpdates() {
+  constexpr std::size_t kClients = 64, kRows = 60, kHead = 32;
+  constexpr std::size_t kItems = 67280;
+  Rng rng(12);
+  std::vector<ClientUpdate> updates(kClients);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    updates[c].user = static_cast<std::uint32_t>(c);
+    updates[c].item_gradients = SparseRowMatrix(32);
+  }
+  auto fill = [&rng](std::span<float> row) {
+    for (auto& v : row) v = static_cast<float>(rng.NextGaussian(0.0, 0.05));
+  };
+  for (std::size_t h = 0; h < kHead; ++h) {
+    const std::size_t count = 3 + h * (kClients - 3) / (kHead - 1);
+    for (std::size_t c = 0; c < count; ++c) {
+      fill(updates[c].item_gradients.RowMutable(h));
+    }
+  }
+  for (ClientUpdate& update : updates) {
+    while (update.item_gradients.row_count() < kRows) {
+      fill(update.item_gradients.RowMutable(
+          kHead + rng.NextBounded(kItems - kHead)));
+    }
+  }
+  return updates;
+}
+
+void BM_AggregateSparseSkewed(benchmark::State& state) {
+  const std::vector<ClientUpdate> updates = MakeSkewedRoundUpdates();
+  AggregatorOptions options;
+  options.kind = static_cast<AggregatorKind>(state.range(0));
+  AggregationWorkspace workspace;
+  SparseRoundDelta delta;
+  for (auto _ : state) {
+    AggregateUpdates(updates, 32, options, workspace, delta);
+    benchmark::DoNotOptimize(delta.row_count());
+  }
+}
+BENCHMARK(BM_AggregateSparseSkewed)
+    ->Arg(static_cast<int>(AggregatorKind::kTrimmedMean))
+    ->Arg(static_cast<int>(AggregatorKind::kMedian))
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_WeightedSample(benchmark::State& state) {
   Rng rng(9);
   std::vector<double> weights(3706);

@@ -5,6 +5,7 @@
 
 #include "common/kernels.h"
 #include "common/math.h"
+#include "common/threadpool.h"
 #include "model/bpr.h"
 #include "model/topk.h"
 
@@ -50,6 +51,10 @@ void FedRecAttack::ApproximateUsers(const Matrix& item_factors,
 
 namespace {
 
+/// Partial-gradient chunks per poison step. Four matches the pool size every
+/// recorded golden was taken at, so those digits stay put.
+constexpr std::size_t kPoisonChunks = 4;
+
 /// Zeroes `m` as a rows x cols matrix, reusing its storage when the shape
 /// already matches.
 void ZeroShaped(Matrix& m, std::size_t rows, std::size_t cols) {
@@ -93,13 +98,13 @@ const Matrix& FedRecAttack::ComputePoisonGradient(const Matrix& item_factors,
     for (std::uint32_t u = 0; u < num_users; ++u) users[u] = u;
   }
 
-  // Parallel accumulation: one sparse gradient accumulator per worker chunk
-  // (users only touch |targets|+1 rows each), merged at the end without any
-  // locking.
+  // Parallel accumulation: one sparse gradient accumulator per chunk (users
+  // only touch |targets|+1 rows each), merged at the end without any locking.
+  // The chunk count is fixed rather than taken from the pool, so the float
+  // summation order, and with it every digit of the attack, is the same at
+  // any thread count (and without a pool, where the chunks run inline).
   const std::size_t num_chunks =
-      pool != nullptr ? std::min<std::size_t>(pool->thread_count(),
-                                              std::max<std::size_t>(1, users.size()))
-                      : 1;
+      std::min(kPoisonChunks, std::max<std::size_t>(1, users.size()));
   if (chunk_scratch_.size() < num_chunks) chunk_scratch_.resize(num_chunks);
 
   // Each chunk owns a contiguous range of the sampled users and scores them
@@ -174,13 +179,7 @@ const Matrix& FedRecAttack::ComputePoisonGradient(const Matrix& item_factors,
     }
   };
 
-  // One chunk per pool thread with unit grain: each task is exactly one
-  // partial-accumulator chunk.
-  if (num_chunks == 1) {
-    process_chunk(0);
-  } else {
-    pool->ParallelFor(0, num_chunks, /*grain=*/1, process_chunk);
-  }
+  ParallelFor(pool, num_chunks, process_chunk);
 
   // Fixed merge order ((p0 + p1) + p2) + ...: bit-identical for a given
   // chunk count. Only touched rows are added; adding a chunk's untouched

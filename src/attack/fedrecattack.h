@@ -76,9 +76,12 @@ class FedRecAttack : public MaliciousCoordinator {
 
   /// Computes zeta * dL_atk/dV at (U-hat, V) (Eq. 20) into
   /// last_poison_gradient() and returns it; exposed for tests. The reference
-  /// stays valid until the next call. The per-chunk accumulators, packed item
-  /// matrix, score tiles and top-K lists are members, reused from round to
-  /// round once the item-matrix shape and pool size are stable.
+  /// stays valid until the next call. The users are split into a fixed
+  /// number of chunks whatever the pool size (run inline when `pool` is
+  /// null), so the result is bit-identical at every thread count. The
+  /// per-chunk accumulators, packed item matrix, score tiles and top-K lists
+  /// are members, reused from round to round once the item-matrix shape is
+  /// stable.
   const Matrix& ComputePoisonGradient(const Matrix& item_factors,
                                       ThreadPool* pool);
 

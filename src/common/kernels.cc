@@ -1,5 +1,6 @@
 #include "common/kernels.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -415,6 +416,75 @@ void ScoreBlockPacked(const float* users, std::size_t num_users,
 #endif
     }
   }
+}
+
+namespace {
+
+/// Calls exchange(a, b, len) for every block of comparators (a + i, b + i),
+/// i < len, of Batcher's odd-even merge sort over bit_ceil(rows) inputs, in
+/// network order. Merge stage p joins sorted runs of p into runs of 2p with
+/// comparators of distance k = p, p/2, ..., 1; those at one distance come in
+/// blocks of k consecutive lower indices, and a block is kept only when it
+/// does not straddle a run boundary (the whole block straddles or none of it
+/// does). Padding rows would hold +inf and never move, so bounding the upper
+/// index by rows drops their comparators. Since rows are contiguous, a block
+/// is one compare-exchange of two contiguous len * cols float ranges.
+template <typename Exchange>
+inline __attribute__((always_inline)) void ForEachComparatorBlock(
+    std::size_t rows, Exchange&& exchange) {
+  for (std::size_t p = 1, run_shift = 1; p < rows; p <<= 1, ++run_shift) {
+    for (std::size_t k = p; k >= 1; k >>= 1) {
+      for (std::size_t j = k % p; j + k < rows; j += 2 * k) {
+        if ((j >> run_shift) != ((j + k) >> run_shift)) continue;
+        exchange(j, j + k, std::min(k, rows - (j + k)));
+      }
+    }
+  }
+}
+
+/// Scalar compare-exchange of a[c], b[c] for c in [begin, end): the pair is
+/// swapped only when b < a, the rule the vector path uses lane for lane.
+inline void CompareExchangeScalar(float* a, float* b, std::size_t begin,
+                                  std::size_t end) {
+  for (std::size_t c = begin; c < end; ++c) {
+    const float x = a[c];
+    const float y = b[c];
+    const bool swap = y < x;
+    a[c] = swap ? y : x;
+    b[c] = swap ? x : y;
+  }
+}
+
+}  // namespace
+
+void ScalarSortColumns(float* tile, std::size_t rows, std::size_t cols) {
+  ForEachComparatorBlock(
+      rows, [&](std::size_t a, std::size_t b, std::size_t len) {
+        CompareExchangeScalar(tile + a * cols, tile + b * cols, 0, len * cols);
+      });
+}
+
+FEDREC_KERNEL_CLONES
+void SortColumns(float* tile, std::size_t rows, std::size_t cols) {
+#if FEDREC_KERNELS_VECTOR
+  // fedrec:hot — one compare-exchange of two row blocks per call.
+  ForEachComparatorBlock(rows, [&](std::size_t a, std::size_t b,
+                                   std::size_t len) {
+    float* lower = tile + a * cols;
+    float* upper = tile + b * cols;
+    const std::size_t count = len * cols;
+    std::size_t c = 0;
+    for (; c + 8 <= count; c += 8) {
+      const Vec8 x = LoadU(lower + c);
+      const Vec8 y = LoadU(upper + c);
+      StoreU(lower + c, y < x ? y : x);
+      StoreU(upper + c, x > y ? x : y);
+    }
+    CompareExchangeScalar(lower, upper, c, count);
+  });
+#else
+  ScalarSortColumns(tile, rows, cols);
+#endif
 }
 
 }  // namespace kernels

@@ -6,7 +6,8 @@
 /// \file
 /// Vectorized float kernels behind every hot loop: dot products, AXPY, scaling
 /// and the blocked A·Bᵀ batch-scoring matmul used by the evaluator, the
-/// attacker's poison-gradient pass, and local training.
+/// attacker's poison-gradient pass, and local training, plus the
+/// column-sorting network behind the median and trimmed-mean rules.
 ///
 /// Two implementations live behind one interface:
 ///   * an 8-lane SIMD path built on GCC/Clang vector extensions (compiles to
@@ -53,6 +54,10 @@ float ScalarL2NormSquared(const float* x, std::size_t n);
 void ScalarScoreBlock(const float* users, std::size_t num_users,
                       const float* items, std::size_t num_items,
                       std::size_t dim, float* out, std::size_t out_stride);
+
+/// SortColumns with one scalar compare-exchange per element: the same
+/// comparators and swap rule, so the same bits.
+void ScalarSortColumns(float* tile, std::size_t rows, std::size_t cols);
 
 // -- Vectorized kernels -----------------------------------------------------
 
@@ -107,6 +112,19 @@ void PackItems(const float* items, std::size_t num_items, std::size_t dim,
 void ScoreBlockPacked(const float* users, std::size_t num_users,
                       const float* items_packed, std::size_t num_items,
                       std::size_t dim, float* out, std::size_t out_stride);
+
+/// Sorts every column of a row-major rows x cols tile ascending, in place,
+/// all columns at once: Batcher's odd-even merge sort network over
+/// bit_ceil(rows) inputs, run as compare-exchanges of whole rows.
+/// Comparators whose upper index is >= rows are skipped: they would compare
+/// against +inf padding and change nothing. The comparators of one network
+/// step that pair consecutive rows with consecutive rows form one
+/// contiguous compare-exchange, done 8 lanes at a time (vector min/max) with
+/// a scalar tail. A compare-exchange swaps a pair only when the upper row's
+/// value is strictly less than the lower row's, so every column ends as a
+/// permutation of its input; values that compare equal (+0 and -0
+/// included) may end in either order.
+void SortColumns(float* tile, std::size_t rows, std::size_t cols);
 
 }  // namespace kernels
 }  // namespace fedrec

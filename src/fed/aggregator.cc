@@ -172,55 +172,68 @@ void AggregateNormBoundGroups(const AggregationWorkspace& workspace,
   }
 }
 
+// fedrec:hot — the median / trimmed-mean reduction; its scratch grows only
+// to the largest row group held so far.
 void AggregateCoordinateWiseGroups(
     const AggregationWorkspace& workspace, std::size_t dim, bool median,
     double trim_fraction, std::size_t group_begin, std::size_t group_end,
     AggregationWorkspace::ShardScratch& scratch, SparseRoundDelta& out) {
-  std::vector<float>& column = scratch.column;
+  std::vector<float>& tile = scratch.tile;
+  std::vector<double>& sums = scratch.sums;
   for (std::size_t g = group_begin; g < group_end; ++g) {
     const RowContribution* contributors =
         workspace.row_index.data() + workspace.group_offsets[g];
     const std::size_t n =
         workspace.group_offsets[g + 1] - workspace.group_offsets[g];
     auto acc = out.RowAtSlot(g);
-    column.resize(n);
-    for (std::size_t d = 0; d < dim; ++d) {
-      for (std::size_t i = 0; i < n; ++i) column[i] = contributors[i].data[d];
-      double robust = 0.0;
-      if (median) {
-        // Selection instead of a full sort. For even n the lower middle is
-        // the maximum of the partition left of the upper middle.
-        const std::size_t mid = n / 2;
-        std::nth_element(column.begin(), column.begin() + mid, column.end());
-        if (n % 2 == 1) {
-          robust = column[mid];
-        } else {
-          const float lower =
-              *std::max_element(column.begin(), column.begin() + mid);
-          // Float addition first, exactly like the historical
-          // column[n/2 - 1] + column[n/2] on the sorted column.
-          robust = 0.5 * (lower + column[mid]);
+    // Exact median shortcuts for the commonest groups: one contributor
+    // passes through (float(double(v) * 1) == v), and two contributors give
+    // their float sum (float(0.5 * double(a + b) * 2) == a + b). The trimmed
+    // mean has none: its sum starts at +0.0, which turns a lone -0 into +0.
+    if (median && n <= 2) {
+      std::copy(contributors[0].data, contributors[0].data + dim, acc.begin());
+      if (n == 2) kernels::Axpy(1.0f, contributors[1].data, acc.data(), dim);
+      continue;
+    }
+    // Gather the group into an n x dim tile and sort all dim columns at once;
+    // the network's rows then read out exactly what a sorted column held.
+    tile.resize(n * dim);  // fedrec:alloc-ok — high water of the largest group
+    for (std::size_t i = 0; i < n; ++i) {
+      std::copy(contributors[i].data, contributors[i].data + dim,
+                tile.begin() + static_cast<std::ptrdiff_t>(i * dim));
+    }
+    kernels::SortColumns(tile.data(), n, dim);
+    const double count = static_cast<double>(n);
+    if (median) {
+      const float* upper = tile.data() + (n / 2) * dim;
+      if (n % 2 == 1) {
+        for (std::size_t d = 0; d < dim; ++d) {
+          acc[d] = static_cast<float>(static_cast<double>(upper[d]) * count);
         }
       } else {
-        std::size_t trim = static_cast<std::size_t>(
-            std::floor(trim_fraction * static_cast<double>(n)));
-        if (2 * trim >= n) trim = (n - 1) / 2;
-        // Partition both tails away with nth_element, then sort only the kept
-        // middle so the ascending summation order (and therefore every bit of
-        // the result) matches the historical sorted-column implementation.
-        if (trim > 0) {
-          std::nth_element(column.begin(), column.begin() + trim, column.end());
-          std::nth_element(column.begin() + trim, column.begin() + (n - trim),
-                           column.end());
+        // Float addition of the two middles first, exactly like the
+        // historical column[n/2 - 1] + column[n/2] on the sorted column.
+        const float* lower = upper - dim;
+        for (std::size_t d = 0; d < dim; ++d) {
+          acc[d] = static_cast<float>(0.5 * (lower[d] + upper[d]) * count);
         }
-        std::sort(column.begin() + trim, column.begin() + (n - trim));
-        double sum = 0.0;
-        const std::size_t kept = n - 2 * trim;
-        for (std::size_t i = trim; i < n - trim; ++i) sum += column[i];
-        robust = sum / static_cast<double>(kept);
       }
+      continue;
+    }
+    std::size_t trim = static_cast<std::size_t>(
+        std::floor(trim_fraction * static_cast<double>(n)));
+    if (2 * trim >= n) trim = (n - 1) / 2;
+    // Sum the kept middle rows in ascending order per column, in double from
+    // +0.0: the sorted-column reference's operation sequence, bit for bit.
+    sums.assign(dim, 0.0);  // fedrec:alloc-ok — grows once to dim
+    for (std::size_t i = trim; i < n - trim; ++i) {
+      const float* row = tile.data() + i * dim;
+      for (std::size_t d = 0; d < dim; ++d) sums[d] += row[d];
+    }
+    const double kept = static_cast<double>(n - 2 * trim);
+    for (std::size_t d = 0; d < dim; ++d) {
       // Rescale by the contributor count to stay comparable with kSum.
-      acc[d] = static_cast<float>(robust * static_cast<double>(n));
+      acc[d] = static_cast<float>(sums[d] / kept * count);
     }
   }
 }

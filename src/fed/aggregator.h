@@ -26,6 +26,18 @@
 /// all scratch state lives in a caller-owned AggregationWorkspace that is
 /// reused round over round. The dense overload materializes the same delta
 /// into a full matrix and exists for tests and offline analysis.
+///
+/// Median and trimmed mean work row-wise. A row group's n contributor rows
+/// are copied into an n x dim tile and all dim columns are sorted at once by
+/// a compare-exchange network over whole rows (kernels::SortColumns,
+/// Batcher's odd-even merge sort: each comparator is a vector min/max of one
+/// row against another). The median reads rows n/2 (and n/2 - 1 for even
+/// n); the trimmed mean sums its kept middle rows in ascending order, in
+/// double from +0.0. Both produce the bits a per-coordinate sort would, with
+/// one exception: when a median column ties +0 against -0, which of the two
+/// lands in the middle is up to the sort, so the result may carry either
+/// sign (the values compare equal). Median groups of one or two
+/// contributors take exact shortcuts that skip the tile.
 
 namespace fedrec {
 
@@ -58,8 +70,11 @@ struct AggregationWorkspace {
   /// scratch; the vector grows to the shard count in use and each entry's
   /// capacity is retained across rounds.
   struct ShardScratch {
-    /// Per-coordinate contributor gather buffer (median / trimmed mean).
-    std::vector<float> column;
+    /// n x dim contributor tile of one row group, sorted column-wise in
+    /// place (median / trimmed mean).
+    std::vector<float> tile;
+    /// Per-coordinate double sums of the trimmed mean's kept rows.
+    std::vector<double> sums;
     /// Row clip buffer (norm-bound).
     std::vector<float> clipped;
   };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
@@ -377,6 +378,69 @@ TEST(AggregatorBitIdentityTest, SingleContributorRowsPassThrough) {
     const Matrix expected = ReferenceCoordinateWise(updates, 100, 3, median,
                                                     options.trim_fraction);
     EXPECT_TRUE(actual == expected);
+  }
+}
+
+TEST(AggregatorBitIdentityTest, ColumnNetworkMatchesSortedColumnReference) {
+  // Differential test of the column-sorting network against the sorted-column
+  // reference. Client c uploads items c + 1 .. kMaxContributors, so item n
+  // has exactly n contributors, for every n up to 80. Values come from 9
+  // levels with +0 and -0 both present, so ties are the rule, not the
+  // exception. Every output is compared byte for byte, with one allowance:
+  // a median over a column holding both +0 and -0 may come out as the other
+  // zero, since which of two equal keys lands in the middle is up to the
+  // sort. (The trimmed mean sums from +0.0, which absorbs either sign.)
+  constexpr std::size_t kMaxContributors = 80;
+  const std::size_t num_items = kMaxContributors + 1;
+  for (std::size_t dim : {1u, 3u, 7u, 8u, 9u, 31u, 32u, 33u}) {
+    Rng rng(100 + dim);
+    std::vector<ClientUpdate> updates(kMaxContributors);
+    for (std::size_t c = 0; c < kMaxContributors; ++c) {
+      updates[c].user = static_cast<std::uint32_t>(c);
+      updates[c].item_gradients = SparseRowMatrix(dim);
+      for (std::size_t item = c + 1; item < num_items; ++item) {
+        for (float& v : updates[c].item_gradients.RowMutable(item)) {
+          const int level = static_cast<int>(rng.NextBounded(9)) - 4;
+          v = level == 0 ? (rng.NextBounded(2) == 0 ? 0.0f : -0.0f)
+                         : 0.25f * static_cast<float>(level);
+        }
+      }
+    }
+    auto has_both_zeros = [&](std::size_t item, std::size_t d) {
+      bool positive = false, negative = false;
+      for (const ClientUpdate& update : updates) {
+        if (!update.item_gradients.Contains(item)) continue;
+        const float v = update.item_gradients.Row(item)[d];
+        if (v == 0.0f) (std::signbit(v) ? negative : positive) = true;
+      }
+      return positive && negative;
+    };
+    for (const bool median : {true, false}) {
+      for (double trim_fraction : {0.0, 0.1, 0.25, 0.45}) {
+        if (median && trim_fraction != 0.0) continue;
+        AggregatorOptions options;
+        options.kind =
+            median ? AggregatorKind::kMedian : AggregatorKind::kTrimmedMean;
+        options.trim_fraction = trim_fraction;
+        const Matrix actual =
+            AggregateUpdates(updates, num_items, dim, options);
+        const Matrix expected = ReferenceCoordinateWise(
+            updates, num_items, dim, median, trim_fraction);
+        for (std::size_t item = 1; item < num_items; ++item) {
+          for (std::size_t d = 0; d < dim; ++d) {
+            const float a = actual.At(item, d);
+            const float e = expected.At(item, d);
+            if (std::memcmp(&a, &e, sizeof(float)) == 0) continue;
+            const bool signed_zero_tie =
+                median && a == e && has_both_zeros(item, d);
+            EXPECT_TRUE(signed_zero_tie)
+                << (median ? "median" : "trimmed mean")
+                << " trim=" << trim_fraction << " dim=" << dim
+                << " n=" << item << " d=" << d << ": " << a << " vs " << e;
+          }
+        }
+      }
+    }
   }
 }
 

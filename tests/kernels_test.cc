@@ -1,6 +1,11 @@
 #include "common/kernels.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -233,6 +238,102 @@ TEST(KernelsTest, ScoreBlockAgreesWithDotKernel) {
       // agreement is within rounding, not bitwise.
       EXPECT_NEAR(out[u * ni + j], via_dot, Tolerance(dim))
           << "u=" << u << " j=" << j;
+    }
+  }
+}
+
+/// Column widths crossing the 8-lane boundary of SortColumns.
+const std::size_t kSortCols[] = {1, 3, 7, 8, 9, 31, 32, 33};
+
+/// rows x cols values drawn from 9 levels around zero, with +0 and -0 both
+/// present, so equal keys are common.
+std::vector<float> QuantisedTile(std::size_t rows, std::size_t cols, Rng& rng) {
+  std::vector<float> tile(rows * cols);
+  for (float& v : tile) {
+    const int level = static_cast<int>(rng.NextBounded(9)) - 4;
+    v = level == 0 ? (rng.NextBounded(2) == 0 ? 0.0f : -0.0f)
+                   : 0.25f * static_cast<float>(level);
+  }
+  return tile;
+}
+
+std::vector<std::uint32_t> ColumnBits(const std::vector<float>& tile,
+                                      std::size_t rows, std::size_t cols,
+                                      std::size_t c) {
+  std::vector<std::uint32_t> bits(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::memcpy(&bits[r], &tile[r * cols + c], sizeof(float));
+  }
+  return bits;
+}
+
+TEST(KernelsTest, SortColumnsSortsEachColumnAsAPermutation) {
+  Rng rng(9);
+  std::vector<std::size_t> row_counts;
+  for (std::size_t rows = 0; rows <= 80; ++rows) row_counts.push_back(rows);
+  for (std::size_t rows : {127u, 128u, 129u, 300u}) row_counts.push_back(rows);
+  for (std::size_t rows : row_counts) {
+    for (std::size_t cols : kSortCols) {
+      const std::vector<float> input = QuantisedTile(rows, cols, rng);
+      std::vector<float> tile = input;
+      kernels::SortColumns(tile.data(), rows, cols);
+      for (std::size_t c = 0; c < cols; ++c) {
+        for (std::size_t r = 1; r < rows; ++r) {
+          ASSERT_FALSE(tile[r * cols + c] < tile[(r - 1) * cols + c])
+              << "rows=" << rows << " cols=" << cols << " c=" << c;
+        }
+        // Same multiset of bit patterns: nothing lost, +0/-0 included.
+        std::vector<std::uint32_t> before = ColumnBits(input, rows, cols, c);
+        std::vector<std::uint32_t> after = ColumnBits(tile, rows, cols, c);
+        std::sort(before.begin(), before.end());
+        std::sort(after.begin(), after.end());
+        ASSERT_EQ(before, after) << "rows=" << rows << " cols=" << cols;
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, SortColumnsSortsEveryZeroOneInput) {
+  // 0-1 principle: a comparator network sorts every input iff it sorts every
+  // 0/1 input. Column c of a rows x 2^rows tile holds the bits of c, so one
+  // call checks all of them.
+  for (std::size_t rows = 1; rows <= 13; ++rows) {
+    const std::size_t cols = std::size_t{1} << rows;
+    std::vector<float> tile(rows * cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        tile[r * cols + c] = static_cast<float>((c >> r) & 1);
+      }
+    }
+    kernels::SortColumns(tile.data(), rows, cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t ones = static_cast<std::size_t>(std::popcount(c));
+      for (std::size_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(tile[r * cols + c], r + ones >= rows ? 1.0f : 0.0f)
+            << "rows=" << rows << " c=" << c;
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, SortColumnsMatchesScalarReferenceBitForBit) {
+  // The vector path and its scalar tail must apply the scalar reference's
+  // swap rule lane for lane: same bits, including which of +0/-0 lands
+  // where and NaNs left in place.
+  Rng rng(10);
+  for (std::size_t rows : {2u, 3u, 5u, 16u, 33u, 64u, 80u}) {
+    for (std::size_t cols : kSortCols) {
+      std::vector<float> input = QuantisedTile(rows, cols, rng);
+      input[rng.NextBounded(input.size())] =
+          std::numeric_limits<float>::quiet_NaN();
+      std::vector<float> vectorized = input;
+      std::vector<float> reference = input;
+      kernels::SortColumns(vectorized.data(), rows, cols);
+      kernels::ScalarSortColumns(reference.data(), rows, cols);
+      EXPECT_EQ(std::memcmp(vectorized.data(), reference.data(),
+                            input.size() * sizeof(float)),
+                0)
+          << "rows=" << rows << " cols=" << cols;
     }
   }
 }
