@@ -252,26 +252,25 @@ void RoundEngine::AdvanceClock(std::uint64_t ticks) {
 }
 
 void RoundEngine::Aggregate() {
-  AggregateUpdates(
-      std::span<const ClientUpdate>(workspace_.updates.data(), live_uploads_),
-      model_->dim(), config_->aggregator, workspace_.aggregation,
-      workspace_.delta, pool_);
+  AggregateUpdates(live_updates(), model_->dim(), config_->aggregator,
+                   workspace_.aggregation, workspace_.delta, pool_);
 }
 
 void RoundEngine::Apply() {
   model_->ApplySparseGradient(workspace_.delta, config_->model.learning_rate);
 }
 
-double RoundEngine::RunRound(const RoundObserver& observer) {
+RoundEngine::ClientHalf RoundEngine::RunClientHalf(
+    const RoundObserver& observer) {
   FEDREC_CHECK(HasNextRound()) << "epoch " << epoch_ << " has no rounds left";
+  ClientHalf half;
   {
     obs::ScopedSpan span("select", stage_.select);
     Select();
   }
-  double loss = 0.0;
   {
     obs::ScopedSpan span("local_train", stage_.local_train);
-    loss = LocalTrain();
+    half.loss = LocalTrain();
   }
   {
     obs::ScopedSpan span("attack", stage_.attack);
@@ -286,13 +285,23 @@ double RoundEngine::RunRound(const RoundObserver& observer) {
     ApplyTransitFaults();
   }
   if (faults_active() && BelowQuorum()) {
-    // Too few surviving benign uploads to trust the round: skip aggregation
-    // entirely (the model stays put) and move on.
+    // Too few surviving benign uploads to trust the round: skip the server
+    // half entirely (the model stays put) and move on.
     NoteSkippedRound();
-    AdvanceRound();
-    obs::PublishFaultStats(fault_stats_, "engine");
-    return loss;
+    FinishRound();
+    half.skipped = true;
   }
+  return half;
+}
+
+void RoundEngine::FinishRound() {
+  AdvanceRound();
+  if (faults_active()) obs::PublishFaultStats(fault_stats_, "engine");
+}
+
+double RoundEngine::RunRound(const RoundObserver& observer) {
+  const ClientHalf half = RunClientHalf(observer);
+  if (half.skipped) return half.loss;
   {
     obs::ScopedSpan span("aggregate", stage_.aggregate);
     Aggregate();
@@ -301,9 +310,8 @@ double RoundEngine::RunRound(const RoundObserver& observer) {
     obs::ScopedSpan span("apply", stage_.apply);
     Apply();
   }
-  AdvanceRound();
-  if (faults_active()) obs::PublishFaultStats(fault_stats_, "engine");
-  return loss;
+  FinishRound();
+  return half.loss;
 }
 
 RoundEngineSnapshot RoundEngine::Snapshot() const {

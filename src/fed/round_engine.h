@@ -137,6 +137,22 @@ class RoundEngine {
   /// Returns the round's summed benign BPR loss. `observer` may be null.
   double RunRound(const RoundObserver& observer);
 
+  /// The client half of a round, shared with the sharded driver: Select ->
+  /// LocalTrain -> Attack -> Observe -> transit faults, each under its
+  /// `fedrec_stage_us` span. A round below config.min_round_quorum is
+  /// skipped here (counted, advanced, ledger published). Otherwise the
+  /// caller runs a server half over live_updates(), then FinishRound().
+  struct ClientHalf {
+    double loss = 0.0;  ///< summed benign BPR loss
+    bool skipped = false;
+  };
+  ClientHalf RunClientHalf(const RoundObserver& observer);
+
+  /// Advances the round counters and, with faults active, republishes the
+  /// fault ledger as `fedrec_fault_*{scope="engine"}`; call it after the
+  /// server half's clock advance.
+  void FinishRound();
+
   // -- Individual stages, in protocol order (exposed for tests and custom
   //    drivers; RunRound invokes them in exactly this sequence) -------------
 
@@ -162,10 +178,10 @@ class RoundEngine {
   /// Applies the delta to the shared item matrix (Eq. 7).
   void Apply();
 
-  /// Advances the round counters without running any stage — for external
-  /// drivers (the sharded federation layer in src/shard) that execute
-  /// Select/LocalTrain/Attack/Observe here but replace Aggregate/Apply with
-  /// their own server path. RunRound calls this itself; never combine both.
+  /// Advances the round counters without running any stage — for custom
+  /// drivers that call the stages one by one and replace Aggregate/Apply
+  /// with their own server path. RunRound and FinishRound call this
+  /// themselves; never combine them.
   void AdvanceRound() {
     ++round_in_epoch_;
     ++global_round_;
@@ -192,6 +208,9 @@ class RoundEngine {
   /// faults are inactive). The front `live_uploads()` entries of
   /// workspace().updates are the survivors, in update order.
   std::size_t live_uploads() const { return live_uploads_; }
+  std::span<const ClientUpdate> live_updates() const {
+    return {workspace_.updates.data(), live_uploads_};
+  }
   /// Surviving benign uploads — the quorum-counted subset.
   std::size_t live_benign_uploads() const { return live_benign_; }
   /// True when the surviving benign uploads miss config.min_round_quorum.

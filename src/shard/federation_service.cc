@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "fed/aggregator.h"
-#include "obs/trace.h"
 #include "shard/shard_protocol.h"
 #include "shard/wire.h"
 
@@ -31,13 +29,10 @@ constexpr int kDrainFlushAttempts = 200;
 
 FederationService::FederationService(MfModel* model, ShardTransport* transport,
                                      Options options)
-    : model_(model), transport_(transport), options_(std::move(options)) {
-  FEDREC_CHECK(model_ != nullptr);
-  FEDREC_CHECK(transport_ != nullptr);
+    : model_(model),
+      options_(std::move(options)),
+      step_(model, transport, /*pool=*/nullptr) {
   FEDREC_CHECK_GT(options_.round_size, 0u);
-  FEDREC_CHECK_EQ(transport_->server().plan().num_items(),
-                  model_->num_items());
-  FEDREC_CHECK_EQ(transport_->server().dim(), model_->dim());
   updates_.resize(options_.round_size);
   for (ClientUpdate& update : updates_) {
     update.item_gradients.Reset(model_->dim());
@@ -51,9 +46,6 @@ FederationService::FederationService(MfModel* model, ShardTransport* transport,
   metrics_.rejected_uploads = registry.GetGauge("fedrec_coord_rejected_uploads");
   metrics_.connections_accepted =
       registry.GetGauge("fedrec_coord_connections_accepted");
-  metrics_.shard_outages = registry.GetGauge("fedrec_coord_shard_outages");
-  metrics_.shard_retries = registry.GetGauge("fedrec_coord_shard_retries");
-  metrics_.fallback_shards = registry.GetGauge("fedrec_coord_fallback_shards");
   metrics_.heartbeats_sent = registry.GetGauge("fedrec_coord_heartbeats_sent");
   metrics_.peers_reaped = registry.GetGauge("fedrec_coord_peers_reaped");
   metrics_.slow_reads_closed =
@@ -64,11 +56,6 @@ FederationService::FederationService(MfModel* model, ShardTransport* transport,
       registry.GetGauge("fedrec_coord_retry_afters_sent");
   metrics_.heartbeat_rtt_ms =
       registry.GetHistogram("fedrec_heartbeat_rtt_ms", "shard=\"coord\"");
-  metrics_.route = registry.GetHistogram("fedrec_stage_us", "stage=\"route\"");
-  metrics_.shard_aggregate =
-      registry.GetHistogram("fedrec_stage_us", "stage=\"shard_aggregate\"");
-  metrics_.merge = registry.GetHistogram("fedrec_stage_us", "stage=\"merge\"");
-  metrics_.apply = registry.GetHistogram("fedrec_stage_us", "stage=\"apply\"");
   int pipe_fds[2];
   FEDREC_CHECK_EQ(::pipe(pipe_fds), 0) << "self-pipe creation failed";
   wake_read_ = pipe_fds[0];
@@ -321,12 +308,6 @@ void FederationService::PublishStats() {
       static_cast<std::int64_t>(stats_.rejected_uploads));
   metrics_.connections_accepted->Set(
       static_cast<std::int64_t>(stats_.connections_accepted));
-  metrics_.shard_outages->Set(
-      static_cast<std::int64_t>(stats_.shard_outages));
-  metrics_.shard_retries->Set(
-      static_cast<std::int64_t>(stats_.shard_retries));
-  metrics_.fallback_shards->Set(
-      static_cast<std::int64_t>(stats_.fallback_shards));
   metrics_.heartbeats_sent->Set(
       static_cast<std::int64_t>(stats_.heartbeats_sent));
   metrics_.peers_reaped->Set(static_cast<std::int64_t>(stats_.peers_reaped));
@@ -383,50 +364,10 @@ bool FederationService::HandleUpload(int fd, Connection& conn,
 }
 
 void FederationService::RunRound() {
-  const std::span<const ClientUpdate> updates(updates_.data(),
-                                              options_.round_size);
-  ShardServer& server = transport_->server();
-  {
-    obs::ScopedSpan span("route", metrics_.route);
-    server.RouteRound(updates, /*pool=*/nullptr);
-  }
-  // Krum is a whole-round selection: decide here, broadcast the winner's
-  // round sequence number to the shards (mirrors ShardedRoundEngine).
-  std::uint64_t krum_source = 0;
-  if (options_.aggregator.kind == AggregatorKind::kKrum && !updates.empty()) {
-    krum_source = KrumSelect(updates, /*num_items=*/0, model_->dim(),
-                             options_.aggregator.krum_honest);
-  }
-  if (!transport_->fallible()) {
-    {
-      obs::ScopedSpan span("shard_aggregate", metrics_.shard_aggregate);
-      server
-          .AggregateRound(options_.aggregator, updates.size(), krum_source,
-                          /*pool=*/nullptr)
-          .CheckOK();
-    }
-    obs::ScopedSpan span("merge", metrics_.merge);
-    server.MergeRoundDelta(merged_).CheckOK();
-  } else {
-    {
-      obs::ScopedSpan span("shard_aggregate", metrics_.shard_aggregate);
-      const std::size_t num_shards = server.plan().num_shards();
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        const ShardRoundOutcome outcome = DeliverShardWithRetries(
-            *transport_, updates, s, options_.aggregator, updates.size(),
-            krum_source, round_, options_.retry);
-        stats_.shard_outages += outcome.outages;
-        stats_.shard_retries += outcome.retries;
-        if (outcome.fallback) ++stats_.fallback_shards;
-      }
-    }
-    obs::ScopedSpan span("merge", metrics_.merge);
-    server.MergeReceived(merged_).CheckOK();
-  }
-  {
-    obs::ScopedSpan span("apply", metrics_.apply);
-    model_->ApplySparseGradient(merged_, options_.learning_rate);
-  }
+  // The service keeps no virtual clock, so the step's backoff ticks are
+  // dropped.
+  (void)step_.Run(updates_, options_.aggregator, options_.learning_rate,
+                  ShardRetryPolicy{}, round_);
   ++stats_.rounds_completed;
 
   // Ack every contributed upload on the connection that sent it, if that

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/status.h"
 #include "fed/client.h"
 #include "fed/config.h"
@@ -18,6 +19,7 @@
 #include "net/liveness.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
+#include "shard/server_step.h"
 #include "shard/transport.h"
 
 /// \file
@@ -26,17 +28,18 @@
 /// kClientUpload frames, each carrying one FRWU upload; the service decodes
 /// them in place from reused connection buffers into recycled ClientUpdate
 /// slots, and when `round_size` uploads have landed it closes the round:
-/// route -> shard aggregation through the pluggable ShardTransport (the
-/// in-process server or fedrec_shardd processes over TCP) -> merge -> apply
-/// to the model -> one kRoundAck (carrying the round id) per contributed
-/// upload. Steady state — same round size, same-shaped uploads — touches the
-/// heap zero times on the upload fan-in and round paths.
+/// ServerStep (shard/server_step.h) — route -> Krum -> shard aggregation
+/// through the pluggable ShardTransport (the in-process server or
+/// fedrec_shardd processes over TCP) -> merge -> apply to the model — then
+/// one kRoundAck (carrying the round id) per contributed upload. Steady
+/// state — same round size, same-shaped uploads — touches the heap zero
+/// times on the upload fan-in and round paths.
 ///
 /// The service is the high-concurrency half of the deployment story: a
 /// single epoll loop sustains thousands of concurrent client connections
 /// (bench_federation_service measures rounds/s and round-latency percentiles
-/// against it), while shard fan-out behind it reuses the engine's
-/// retry/fallback delivery (DeliverShardWithRetries), so a dead shardd
+/// against it). Behind it runs the same ServerStep as ShardedRoundEngine,
+/// retry/fallback protocol and wire ledger included, so a dead shardd
 /// degrades the round instead of wedging it.
 
 namespace fedrec {
@@ -49,7 +52,6 @@ class FederationService {
     std::size_t round_size = 0;    ///< uploads that close a round (> 0)
     AggregatorOptions aggregator;
     float learning_rate = 0.01f;
-    ShardRetryPolicy retry;        ///< shard delivery retry/backoff policy
     std::size_t max_rounds = 0;    ///< stop after this many rounds (0 = none)
     /// Liveness knobs (see net/liveness.h); all default off, so the service
     /// behaves exactly as before liveness existed unless configured.
@@ -77,9 +79,6 @@ class FederationService {
     std::uint64_t upload_bytes = 0;
     std::uint64_t rejected_uploads = 0;   ///< kError replies sent
     std::uint64_t connections_accepted = 0;
-    std::uint64_t shard_outages = 0;      ///< folded delivery outcomes
-    std::uint64_t shard_retries = 0;
-    std::uint64_t fallback_shards = 0;
     std::uint64_t heartbeats_sent = 0;    ///< idle probes emitted
     std::uint64_t peers_reaped = 0;       ///< half-open connections closed
     std::uint64_t slow_reads_closed = 0;  ///< partial-frame deadline closes
@@ -107,6 +106,11 @@ class FederationService {
   void RequestStop();
 
   const Stats& stats() const { return stats_; }
+  /// ServerStep's wire ledger: corrupt messages, shard outages, retries and
+  /// fallbacks of the degraded protocol (fallible transports only).
+  const FaultStats& wire_fault_stats() const {
+    return step_.wire_fault_stats();
+  }
 
  private:
   struct Connection {
@@ -129,8 +133,8 @@ class FederationService {
   /// Returns false when the connection must be closed.
   bool HandleFrame(int fd, Connection& conn, const FrameView& frame);
   bool HandleUpload(int fd, Connection& conn, std::string_view payload);
-  /// Closes the pending round: route, aggregate via the transport, merge,
-  /// apply, ack every contributed upload.
+  /// Closes the pending round: runs the ServerStep over the pending uploads,
+  /// then acks every contributed upload.
   void RunRound();
   /// True when `conn`'s send queue is at high water: the caller must not
   /// stage its frame. Sends one kRetryAfter per breach.
@@ -153,8 +157,8 @@ class FederationService {
   void DrainOnStop();
 
   MfModel* model_;
-  ShardTransport* transport_;
   Options options_;
+  ServerStep step_;
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
@@ -176,7 +180,6 @@ class FederationService {
   std::uint64_t accepted_ = 0;          ///< generation of the newest accept
   std::size_t pending_ = 0;             ///< filled prefix of updates_
   std::uint64_t round_ = 0;
-  SparseRoundDelta merged_;
   BinaryWriter scratch_;                ///< ack / error payload encode
   BinaryWriter shed_scratch_;           ///< kRetryAfter payload encode
   DeadlineWheel wheel_;                 ///< liveness deadlines keyed by fd
@@ -193,9 +196,6 @@ class FederationService {
     obs::Gauge* upload_bytes = nullptr;
     obs::Gauge* rejected_uploads = nullptr;
     obs::Gauge* connections_accepted = nullptr;
-    obs::Gauge* shard_outages = nullptr;
-    obs::Gauge* shard_retries = nullptr;
-    obs::Gauge* fallback_shards = nullptr;
     obs::Gauge* heartbeats_sent = nullptr;
     obs::Gauge* peers_reaped = nullptr;
     obs::Gauge* slow_reads_closed = nullptr;
@@ -203,12 +203,6 @@ class FederationService {
     obs::Gauge* shed_frames = nullptr;
     obs::Gauge* retry_afters_sent = nullptr;
     obs::Histogram* heartbeat_rtt_ms = nullptr;
-    // Server-side stage histograms — the same fedrec_stage_us series the
-    // round engines record, so bench and deployment share one vocabulary.
-    obs::Histogram* route = nullptr;
-    obs::Histogram* shard_aggregate = nullptr;
-    obs::Histogram* merge = nullptr;
-    obs::Histogram* apply = nullptr;
   };
   ServingMetrics metrics_;
 };

@@ -1,180 +1,44 @@
 #include "shard/sharded_round_engine.h"
 
-#include <algorithm>
-
-#include "obs/stats_bridge.h"
-#include "obs/trace.h"
-
 namespace fedrec {
 
 ShardedRoundEngine::ShardedRoundEngine(RoundEngine* engine, MfModel* model,
                                        const FedConfig* config,
                                        const ShardPlan& plan, ThreadPool* pool)
     : engine_(engine),
-      model_(model),
       config_(config),
-      pool_(pool),
       owned_transport_(
           std::make_unique<InProcessShardTransport>(plan, model->dim())),
-      transport_(owned_transport_.get()) {
+      step_(model, owned_transport_.get(), pool) {
   FEDREC_CHECK(engine_ != nullptr);
-  FEDREC_CHECK(model_ != nullptr);
   FEDREC_CHECK(config_ != nullptr);
-  FEDREC_CHECK_EQ(plan.num_items(), model->num_items());
-  InitStageMetrics();
 }
 
 ShardedRoundEngine::ShardedRoundEngine(RoundEngine* engine, MfModel* model,
                                        const FedConfig* config,
                                        ShardTransport* transport,
                                        ThreadPool* pool)
-    : engine_(engine),
-      model_(model),
-      config_(config),
-      pool_(pool),
-      transport_(transport) {
+    : engine_(engine), config_(config), step_(model, transport, pool) {
   FEDREC_CHECK(engine_ != nullptr);
-  FEDREC_CHECK(model_ != nullptr);
   FEDREC_CHECK(config_ != nullptr);
-  FEDREC_CHECK(transport_ != nullptr);
-  FEDREC_CHECK_EQ(transport_->server().plan().num_items(),
-                  model->num_items());
-  FEDREC_CHECK_EQ(transport_->server().dim(), model->dim());
-  InitStageMetrics();
-}
-
-void ShardedRoundEngine::InitStageMetrics() {
-  obs::Registry& registry = obs::Registry::Global();
-  stage_.select = registry.GetHistogram("fedrec_stage_us", "stage=\"select\"");
-  stage_.local_train =
-      registry.GetHistogram("fedrec_stage_us", "stage=\"local_train\"");
-  stage_.attack = registry.GetHistogram("fedrec_stage_us", "stage=\"attack\"");
-  stage_.observe =
-      registry.GetHistogram("fedrec_stage_us", "stage=\"observe\"");
-  stage_.transit_faults =
-      registry.GetHistogram("fedrec_stage_us", "stage=\"transit_faults\"");
-  stage_.route = registry.GetHistogram("fedrec_stage_us", "stage=\"route\"");
-  stage_.shard_aggregate =
-      registry.GetHistogram("fedrec_stage_us", "stage=\"shard_aggregate\"");
-  stage_.merge = registry.GetHistogram("fedrec_stage_us", "stage=\"merge\"");
-  stage_.apply = registry.GetHistogram("fedrec_stage_us", "stage=\"apply\"");
-  stage_.shard_retries =
-      registry.GetCounter("fedrec_shard_retries_total");
-  stage_.shard_outages =
-      registry.GetCounter("fedrec_shard_outages_total");
-  stage_.fallback_shards =
-      registry.GetCounter("fedrec_shard_fallbacks_total");
 }
 
 double ShardedRoundEngine::RunRound(const RoundObserver& observer) {
-  FEDREC_CHECK(HasNextRound()) << "epoch " << engine_->epoch()
-                               << " has no rounds left";
-  {
-    obs::ScopedSpan span("select", stage_.select);
-    engine_->Select();
-  }
-  double loss = 0.0;
-  {
-    obs::ScopedSpan span("local_train", stage_.local_train);
-    loss = engine_->LocalTrain();
-  }
-  {
-    obs::ScopedSpan span("attack", stage_.attack);
-    engine_->Attack();
-  }
-  {
-    obs::ScopedSpan span("observe", stage_.observe);
-    engine_->Observe(observer);
-  }
-  {
-    obs::ScopedSpan span("transit_faults", stage_.transit_faults);
-    engine_->ApplyTransitFaults();
-  }
-  const bool faults = engine_->faults_active();
-  if (faults && engine_->BelowQuorum()) {
-    engine_->NoteSkippedRound();
-    engine_->AdvanceRound();
-    return loss;
-  }
-
-  // The surviving prefix (= all uploads when faults are inactive, leaving
-  // the historical path byte-identical).
-  const std::span<const ClientUpdate> updates(
-      engine_->workspace().updates.data(), engine_->live_uploads());
-  {
-    obs::ScopedSpan span("route", stage_.route);
-    server().RouteRound(updates, pool_);
-  }
-
-  // Krum is a whole-round selection: decide on the coordinator (which holds
-  // the full uploads before routing anyway) and broadcast the winner's
-  // round sequence number to the shards.
-  std::uint64_t krum_source = 0;
-  if (config_->aggregator.kind == AggregatorKind::kKrum && !updates.empty()) {
-    krum_source = KrumSelect(updates, /*num_items=*/0, model_->dim(),
-                             config_->aggregator.krum_honest);
-  }
+  const RoundEngine::ClientHalf half = engine_->RunClientHalf(observer);
+  if (half.skipped) return half.loss;
   if (owned_transport_ != nullptr) {
-    owned_transport_->set_fault_plan(faults ? engine_->fault_plan() : nullptr);
+    owned_transport_->set_fault_plan(
+        engine_->faults_active() ? engine_->fault_plan() : nullptr);
   }
-  if (!faults && !transport_->fallible()) {
-    // In-process wire corruption is a programming error, not an environmental
-    // failure: fail fast instead of threading Status through the round loop.
-    {
-      obs::ScopedSpan span("shard_aggregate", stage_.shard_aggregate);
-      server()
-          .AggregateRound(config_->aggregator, updates.size(), krum_source,
-                          pool_)
-          .CheckOK();
-    }
-    obs::ScopedSpan span("merge", stage_.merge);
-    server().MergeRoundDelta(merged_).CheckOK();
-  } else {
-    {
-      obs::ScopedSpan span("shard_aggregate", stage_.shard_aggregate);
-      AggregateDegraded(updates, krum_source);
-    }
-    obs::ScopedSpan span("merge", stage_.merge);
-    server().MergeReceived(merged_).CheckOK();
-  }
-
-  {
-    obs::ScopedSpan span("apply", stage_.apply);
-    model_->ApplySparseGradient(merged_, config_->model.learning_rate);
-  }
-  engine_->AdvanceRound();
-  obs::PublishFaultStats(wire_stats_, "wire");
-  return loss;
-}
-
-void ShardedRoundEngine::AggregateDegraded(
-    std::span<const ClientUpdate> updates, std::uint64_t krum_source) {
-  const std::uint64_t round = engine_->global_round();
-  const std::size_t num_shards = server().plan().num_shards();
-  const AggregatorOptions& options = config_->aggregator;
-  const std::size_t round_size = updates.size();
-  const ShardRetryPolicy policy{config_->max_shard_retries,
-                                config_->shard_retry_backoff_ticks};
-  outcome_scratch_.assign(num_shards, ShardRoundOutcome{});
-  ParallelFor(pool_, num_shards, [&](std::size_t s) {
-    outcome_scratch_[s] =
-        DeliverShardWithRetries(*transport_, updates, s, options, round_size,
-                                krum_source, round, policy);
-  });
-  // Serial fold: counters and the clock stay deterministic for any pool.
-  std::uint64_t max_backoff = 0;
-  for (const ShardRoundOutcome& outcome : outcome_scratch_) {
-    wire_stats_.corrupt_messages += outcome.corrupt;
-    wire_stats_.shard_outages += outcome.outages;
-    wire_stats_.shard_retries += outcome.retries;
-    if (outcome.fallback) ++wire_stats_.fallback_shards;
-    stage_.shard_outages->Increment(outcome.outages);
-    stage_.shard_retries->Increment(outcome.retries);
-    if (outcome.fallback) stage_.fallback_shards->Increment();
-    max_backoff = std::max(max_backoff, outcome.backoff_ticks);
-  }
-  // Shards retry concurrently; the round pays the slowest shard's backoff.
-  engine_->AdvanceClock(max_backoff);
+  const std::uint64_t backoff = step_.Run(
+      engine_->live_updates(), config_->aggregator,
+      config_->model.learning_rate,
+      ShardRetryPolicy{config_->max_shard_retries,
+                       config_->shard_retry_backoff_ticks},
+      engine_->global_round());
+  engine_->AdvanceClock(backoff);
+  engine_->FinishRound();
+  return half.loss;
 }
 
 }  // namespace fedrec

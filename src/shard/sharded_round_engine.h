@@ -1,37 +1,30 @@
 #ifndef FEDREC_SHARD_SHARDED_ROUND_ENGINE_H_
 #define FEDREC_SHARD_SHARDED_ROUND_ENGINE_H_
 
-#include <cstdint>
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "common/fault.h"
 #include "common/threadpool.h"
 #include "fed/config.h"
 #include "fed/round_engine.h"
 #include "model/mf_model.h"
-#include "obs/metrics.h"
+#include "shard/server_step.h"
 #include "shard/shard_server.h"
 #include "shard/transport.h"
 
 /// \file
-/// Sharded federation round loop: the client-facing stages
-/// (Select/LocalTrain/Attack/Observe) run unchanged on the wrapped
-/// RoundEngine, and the server side — the stage a single box cannot scale to
-/// a catalogue-sized item matrix under heavy traffic — is replaced by the
-/// multi-shard path of ShardServer:
+/// Sharded federation round loop: RoundEngine's client half, then the
+/// multi-shard server half of ServerStep (shard/server_step.h) in place of
+/// the single server's Aggregate/Apply:
 ///
-///   Select -> LocalTrain -> Attack -> Observe
-///     -> Route (FRWU wire) -> per-shard Aggregate -> FRWD wire -> Merge
-///     -> Apply
+///   Select -> LocalTrain -> Attack -> Observe -> transit faults
+///     -> ServerStep: Route -> Krum -> shard Aggregate -> Merge -> Apply
 ///
-/// How the wire bytes travel is the ShardTransport seam: in-process buffer
-/// handoffs (the default) or TCP connections to fedrec_shardd processes
-/// (SocketShardTransport) — the loop here is identical for both, including
-/// the degraded protocol: a dead or refused connection surfaces as the same
-/// kIOError a plan-injected shard outage does, and flows through the same
-/// bounded-retry / coordinator-local-fallback path with the same ledger.
+/// The ShardTransport seam carries the wire bytes: in-process buffer
+/// handoffs (the default) or TCP to fedrec_shardd processes
+/// (SocketShardTransport). The engine arms its owned in-process transport
+/// with the fault plan exactly when faults are active, and charges the
+/// step's retry backoff to the virtual clock.
 ///
 /// Every upload of the round — the malicious ones produced by the Attack
 /// stage included — flows through the same routed wire path, so poisoned
@@ -43,12 +36,12 @@
 
 namespace fedrec {
 
-/// Drives RoundEngine's client stages and ShardServer's server stages.
+/// Drives RoundEngine's client half and ServerStep's server half.
 class ShardedRoundEngine {
  public:
-  /// In-process deployment: constructs and owns the historical buffer-handoff
+  /// In-process deployment: constructs and owns the buffer-handoff
   /// transport. All pointers are borrowed and must outlive this engine.
-  /// `engine` is the single-federation round engine whose client stages are
+  /// `engine` is the single-federation round engine whose client half is
   /// reused (its Aggregate/Apply are never called); `pool` fans both
   /// LocalTrain (via the engine) and the per-shard server work, and may be
   /// null.
@@ -68,72 +61,30 @@ class ShardedRoundEngine {
 
   /// Runs one full round through the sharded server path; returns the summed
   /// benign BPR loss (same contract as RoundEngine::RunRound). `observer`
-  /// may be null.
-  ///
-  /// When the wrapped engine carries an enabled fault plan — or the
-  /// transport itself is fallible (sockets) — the server side runs the
-  /// degraded protocol: transit faults thin the uploads (quorum rules from
-  /// the engine apply), each shard's FRWU delivery and FRWD reply may fail
-  /// or be corrupted, and the coordinator retries a failed shard up to
-  /// config.max_shard_retries times (re-routing pristinely, deterministic
-  /// exponential backoff on the virtual clock) before aggregating that
-  /// shard's row range locally. Otherwise the historical wire path runs
-  /// unchanged.
+  /// may be null. With an enabled fault plan, transit faults thin the
+  /// uploads (the engine's quorum rules apply), the owned transport injects
+  /// wire faults, and ServerStep retries each failed shard up to
+  /// config.max_shard_retries times before aggregating it locally.
   double RunRound(const RoundObserver& observer = {});
 
-  const ShardServer& server() const { return transport_->server(); }
-  ShardServer& server() { return transport_->server(); }
-  ShardTransport& transport() { return *transport_; }
-  const SparseRoundDelta& merged_delta() const { return merged_; }
+  const ShardServer& server() const { return step_.transport().server(); }
+  ShardServer& server() { return step_.transport().server(); }
+  ShardTransport& transport() { return step_.transport(); }
+  const SparseRoundDelta& merged_delta() const { return step_.merged_delta(); }
   const RoundEngine& engine() const { return *engine_; }
 
-  /// Wire/shard failure counters of the degraded protocol (corrupt messages,
-  /// outages, retries, fallbacks). Transit-fault counters live on the
-  /// wrapped engine's fault_stats(). Deterministic for a fixed (seed,
-  /// fault seed) pair regardless of pool size; over a socket transport the
-  /// same counters record *real* outages (dead shardd, timeout) instead of
-  /// injected draws.
-  const FaultStats& wire_fault_stats() const { return wire_stats_; }
+  /// ServerStep's wire ledger (corrupt messages, outages, retries,
+  /// fallbacks). Transit-fault counters live on the wrapped engine's
+  /// fault_stats().
+  const FaultStats& wire_fault_stats() const {
+    return step_.wire_fault_stats();
+  }
 
  private:
-  /// The degraded per-shard aggregate: route is already done; runs the
-  /// retry/fallback loop per shard and leaves every shard's decoded delta in
-  /// the coordinator's receive slots.
-  void AggregateDegraded(std::span<const ClientUpdate> updates,
-                         std::uint64_t krum_source);
-
-  /// Fetches the server-stage histograms from the global registry (shared
-  /// constructor tail).
-  void InitStageMetrics();
-
   RoundEngine* engine_;
-  MfModel* model_;
   const FedConfig* config_;
-  ThreadPool* pool_;
   std::unique_ptr<InProcessShardTransport> owned_transport_;
-  ShardTransport* transport_;
-  SparseRoundDelta merged_;
-  FaultStats wire_stats_;
-  std::vector<ShardRoundOutcome> outcome_scratch_;
-  // Stage histograms (fedrec_stage_us{stage=...}) plus the
-  // degraded-protocol counters; observe-only. The client-stage entries
-  // resolve to the same registry instances RoundEngine registers, so the
-  // single-server and sharded paths share one per-stage series.
-  struct StageMetrics {
-    obs::Histogram* select = nullptr;
-    obs::Histogram* local_train = nullptr;
-    obs::Histogram* attack = nullptr;
-    obs::Histogram* observe = nullptr;
-    obs::Histogram* transit_faults = nullptr;
-    obs::Histogram* route = nullptr;
-    obs::Histogram* shard_aggregate = nullptr;
-    obs::Histogram* merge = nullptr;
-    obs::Histogram* apply = nullptr;
-    obs::Counter* shard_retries = nullptr;
-    obs::Counter* shard_outages = nullptr;
-    obs::Counter* fallback_shards = nullptr;
-  };
-  StageMetrics stage_;
+  ServerStep step_;
 };
 
 }  // namespace fedrec

@@ -21,47 +21,4 @@ Status InProcessShardTransport::ExecuteShardRound(
   return server_.DecodeShardDelta(s);
 }
 
-ShardRoundOutcome DeliverShardWithRetries(
-    ShardTransport& transport, std::span<const ClientUpdate> updates,
-    std::size_t s, const AggregatorOptions& options, std::size_t round_size,
-    std::uint64_t krum_source, std::uint64_t round,
-    const ShardRetryPolicy& policy) {
-  ShardRoundOutcome outcome;
-  ShardServer& server = transport.server();
-  bool delivered = false;
-  for (std::uint64_t attempt = 0;
-       attempt <= policy.max_retries && !delivered; ++attempt) {
-    if (attempt > 0) {
-      ++outcome.retries;
-      outcome.backoff_ticks += policy.backoff_ticks << (attempt - 1);
-      // A retry is a full resend: the coordinator re-routes the shard's rows
-      // from the pristine uploads, then the wire rolls its dice again (fault
-      // draws are keyed by attempt, so a transient failure clears; a socket
-      // transport reconnects, so a restarted shardd rejoins here).
-      server.RerouteShard(updates, s);
-    }
-    const Status status = transport.ExecuteShardRound(
-        s, options, round_size, krum_source, round, attempt);
-    if (status.ok()) {
-      delivered = true;
-      break;
-    }
-    if (status.code() == StatusCode::kIOError) {
-      ++outcome.outages;
-    } else {
-      ++outcome.corrupt;
-    }
-  }
-  if (!delivered) {
-    // Retries exhausted: the coordinator aggregates this shard's row range
-    // locally from the pristine uploads — no wire, so no faults; the math is
-    // the shard's own (bit-identical by the routing invariant).
-    outcome.fallback = true;
-    server.RerouteShard(updates, s);
-    server.AggregateShardRound(s, options, round_size, krum_source).CheckOK();
-    server.DecodeShardDelta(s).CheckOK();
-  }
-  return outcome;
-}
-
 }  // namespace fedrec

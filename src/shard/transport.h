@@ -2,30 +2,29 @@
 #define FEDREC_SHARD_TRANSPORT_H_
 
 #include <cstdint>
-#include <span>
 
 #include "common/fault.h"
 #include "common/status.h"
-#include "fed/client.h"
 #include "fed/config.h"
 #include "shard/shard_server.h"
 
 /// \file
-/// The transport seam of the sharded round loop: how a shard's routed FRWU
-/// inbox reaches its compute and how the FRWD reply comes back. The round
-/// engine (and the federation coordinator) talk only to ShardTransport, so
-/// the same loop runs unchanged over in-process buffer handoffs or TCP
-/// connections to fedrec_shardd processes — the deployment shape is a
-/// constructor argument, not a code path.
+/// The transport seam of the sharded server step: how a shard's routed FRWU
+/// inbox reaches its compute and how the FRWD reply comes back. ServerStep
+/// (shard/server_step.h) — the one server half that ShardedRoundEngine and
+/// FederationService both run — talks only to ShardTransport, so the same
+/// step runs over in-process buffer handoffs or TCP connections to
+/// fedrec_shardd processes: the deployment shape is a constructor argument,
+/// not a code path.
 ///
-/// Failure taxonomy (what the retry/fallback protocol keys on):
+/// Failure taxonomy (what ServerStep's retry/fallback protocol keys on):
 ///   kIOError     the shard is out — refused/dead connection, timeout, or an
 ///                injected outage. A retry reconnects and resends.
 ///   kCorruption  the delivery or reply was damaged. A retry resends
 ///                pristinely re-routed bytes.
 /// Both are environmental for a fallible transport; for the in-process
 /// transport without an armed fault plan, any failure is a programming error
-/// and the caller fails fast instead of retrying.
+/// and ServerStep fails fast instead of retrying.
 
 namespace fedrec {
 
@@ -42,8 +41,8 @@ class ShardTransport {
     return const_cast<ShardTransport*>(this)->server();
   }
 
-  /// True when ExecuteShardRound can fail for environmental reasons. The
-  /// round loop runs the retry/fallback protocol iff the transport is
+  /// True when ExecuteShardRound can fail for environmental reasons.
+  /// ServerStep runs the retry/fallback protocol iff the transport is
   /// fallible; otherwise it fails fast on any error.
   virtual bool fallible() const = 0;
 
@@ -60,8 +59,8 @@ class ShardTransport {
   virtual const char* name() const = 0;
 };
 
-/// PR 5's historical deployment: the wire is a byte-buffer handoff inside
-/// the coordinator process. With an armed fault plan the handoff injects the
+/// The default deployment: the wire is a byte-buffer handoff inside the
+/// coordinator process. With an armed fault plan the handoff injects the
 /// deterministic outage/corruption draws of the fault protocol; without one
 /// it is infallible.
 class InProcessShardTransport final : public ShardTransport {
@@ -88,34 +87,6 @@ class InProcessShardTransport final : public ShardTransport {
   ShardServer server_;
   const FaultPlan* fault_plan_ = nullptr;
 };
-
-/// Bounded-retry parameters (FedConfig::max_shard_retries /
-/// shard_retry_backoff_ticks).
-struct ShardRetryPolicy {
-  std::uint64_t max_retries = 2;
-  std::uint64_t backoff_ticks = 2;
-};
-
-/// One shard's delivery ledger (ParallelFor-private; callers fold serially
-/// so counters and the virtual clock stay deterministic for any pool).
-struct ShardRoundOutcome {
-  std::uint32_t corrupt = 0;
-  std::uint32_t outages = 0;
-  std::uint32_t retries = 0;
-  bool fallback = false;
-  std::uint64_t backoff_ticks = 0;
-};
-
-/// The degraded delivery protocol for one shard: bounded retries (each a
-/// pristine re-route + exponential backoff on the virtual clock), then the
-/// coordinator-local fallback — aggregate the shard's row range from the
-/// pristine uploads, no wire. On return the shard's receive slot is always
-/// decoded, so the round can merge whatever happened.
-ShardRoundOutcome DeliverShardWithRetries(
-    ShardTransport& transport, std::span<const ClientUpdate> updates,
-    std::size_t s, const AggregatorOptions& options, std::size_t round_size,
-    std::uint64_t krum_source, std::uint64_t round,
-    const ShardRetryPolicy& policy);
 
 }  // namespace fedrec
 

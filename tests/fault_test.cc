@@ -8,6 +8,7 @@
 #include "common/threadpool.h"
 #include "data/synthetic.h"
 #include "fed/simulation.h"
+#include "obs/metrics.h"
 #include "shard/shard_plan.h"
 #include "shard/sharded_round_engine.h"
 
@@ -435,6 +436,43 @@ TEST(ShardedFaultTest, ZeroQuorumAllDroppedRoundRunsTheShardedPathCleanly) {
   EXPECT_EQ(losses.size(), 1u);
   EXPECT_EQ(sim.engine().fault_stats().skipped_rounds, 0u);
   EXPECT_TRUE(sim.model().item_factors() == initial);
+}
+
+TEST(ShardedFaultTest, ShardedRoundsPublishTheEngineLedger) {
+  // The sharded driver runs RoundEngine's client half and then its own
+  // server half; the engine's transit-fault ledger must still reach the
+  // scrape, published after the server half's backoff moved the clock.
+  const Dataset data = SmallData();
+  FedConfig config = SmallConfig();
+  config.epochs = 2;
+  config.faults.dropout_rate = 0.3;
+  config.faults.shard_outage_rate = 0.3;
+  config.faults.fault_seed = 23;
+  const ShardPlan plan(data.num_items(), 3, ShardPolicy::kContiguousRange);
+  Simulation sim(data, config, 0, nullptr, nullptr);
+  FaultStats wire_stats;
+  (void)RunShardedEpochs(sim, config, plan, nullptr, &wire_stats);
+  const FaultStats& ledger = sim.engine().fault_stats();
+  ASSERT_GT(ledger.dropped_uploads, 0u);
+  ASSERT_GT(wire_stats.shard_retries, 0u);
+
+  const auto engine_gauge = [](const char* name) {
+    return static_cast<std::uint64_t>(
+        obs::Registry::Global().GetGauge(name, "scope=\"engine\"")->Value());
+  };
+  EXPECT_EQ(engine_gauge("fedrec_fault_dropped_uploads"),
+            ledger.dropped_uploads);
+  EXPECT_EQ(engine_gauge("fedrec_fault_straggler_uploads"),
+            ledger.straggler_uploads);
+  EXPECT_EQ(engine_gauge("fedrec_fault_corrupt_messages"),
+            ledger.corrupt_messages);
+  EXPECT_EQ(engine_gauge("fedrec_fault_shard_outages"), ledger.shard_outages);
+  EXPECT_EQ(engine_gauge("fedrec_fault_shard_retries"), ledger.shard_retries);
+  EXPECT_EQ(engine_gauge("fedrec_fault_fallback_shards"),
+            ledger.fallback_shards);
+  EXPECT_EQ(engine_gauge("fedrec_fault_skipped_rounds"),
+            ledger.skipped_rounds);
+  EXPECT_EQ(engine_gauge("fedrec_fault_virtual_ticks"), ledger.virtual_ticks);
 }
 
 }  // namespace

@@ -18,12 +18,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "common/logging.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "fed/aggregator.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "shard/shard_plan.h"
 #include "shard/transport.h"
 #include "shard/wire.h"
@@ -182,12 +184,15 @@ class ServiceHarness {
       : ServiceHarness(model, num_shards,
                        MakeOptions(round_size, max_rounds)) {}
 
-  /// Full-options variant for the liveness/backpressure suites.
+  /// Full-options variant for the liveness/backpressure suites. A
+  /// `fault_plan` arms the in-process transport with injected wire faults.
   ServiceHarness(MfModel* model, std::size_t num_shards,
-                 FederationService::Options options)
+                 FederationService::Options options,
+                 const FaultPlan* fault_plan = nullptr)
       : transport_(ShardPlan(kNumItems, num_shards,
                              ShardPolicy::kContiguousRange),
                    kDim) {
+    transport_.set_fault_plan(fault_plan);
     service_ =
         std::make_unique<FederationService>(model, &transport_, options);
     service_->Listen().CheckOK();
@@ -215,6 +220,9 @@ class ServiceHarness {
   void Join() { thread_.join(); }
   std::uint16_t port() const { return service_->port(); }
   const FederationService::Stats& stats() const { return service_->stats(); }
+  const FaultStats& wire_fault_stats() const {
+    return service_->wire_fault_stats();
+  }
 
  private:
   InProcessShardTransport transport_;
@@ -311,6 +319,55 @@ TEST(FederationServiceTest, ConcurrentClientsCompleteRounds) {
   EXPECT_EQ(harness.stats().rounds_completed, rounds);
   EXPECT_EQ(harness.stats().uploads_received, num_clients * rounds);
   EXPECT_EQ(harness.stats().connections_accepted, num_clients);
+}
+
+TEST(FederationServiceTest, DegradedShardPathMatchesTheCleanTwin) {
+  // An armed transport corrupts and drops shard deliveries; the service's
+  // retries and coordinator-local fallbacks deliver the exact same shard
+  // deltas, so the model must match a twin over an unarmed transport while
+  // the wire ledger and the shard counters record every failure.
+  FaultSpec spec;
+  spec.upload_corrupt_rate = 0.3;
+  spec.delta_corrupt_rate = 0.3;
+  spec.shard_outage_rate = 0.3;
+  spec.fault_seed = 17;
+  const FaultPlan plan(spec, /*run_seed=*/3);
+  obs::Counter* outages_total =
+      obs::Registry::Global().GetCounter("fedrec_shard_outages_total");
+  const std::uint64_t outages_before = outages_total->Value();
+
+  Rng faulty_init(8);
+  MfModel faulty_model(kNumItems, ModelParams(), faulty_init);
+  Rng clean_init(8);
+  MfModel clean_model(kNumItems, ModelParams(), clean_init);
+  const std::size_t rounds = 8;
+  const std::size_t num_shards = 3;
+  ServiceHarness faulty(&faulty_model, num_shards,
+                        ServiceHarness::MakeOptions(/*round_size=*/1, rounds),
+                        &plan);
+  ServiceHarness clean(&clean_model, num_shards,
+                       ServiceHarness::MakeOptions(/*round_size=*/1, rounds));
+  TestClient faulty_client(faulty.port());
+  TestClient clean_client(clean.port());
+  const std::array<std::size_t, 4> rows = {1, 8, 15, 27};
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    const std::string upload =
+        EncodeClientUpload(MakeGradients(4, r, rows), 4);
+    faulty_client.SendFrame(FrameType::kClientUpload, upload);
+    clean_client.SendFrame(FrameType::kClientUpload, upload);
+    EXPECT_EQ(faulty_client.ExpectRoundAck(), r);
+    EXPECT_EQ(clean_client.ExpectRoundAck(), r);
+  }
+  faulty.Join();
+  clean.Join();
+
+  EXPECT_TRUE(faulty_model.item_factors() == clean_model.item_factors());
+  const FaultStats& ledger = faulty.wire_fault_stats();
+  EXPECT_GT(ledger.corrupt_messages, 0u);
+  EXPECT_GT(ledger.shard_outages, 0u);
+  EXPECT_EQ(clean.wire_fault_stats().corrupt_messages, 0u);
+  EXPECT_EQ(clean.wire_fault_stats().shard_outages, 0u);
+  EXPECT_EQ(outages_total->Value() - outages_before, ledger.shard_outages);
 }
 
 TEST(FederationServiceTest, MalformedUploadIsRejectedAndConnectionSurvives) {

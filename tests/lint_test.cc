@@ -114,10 +114,13 @@ TEST(LintTest, DeterminismBansDoNotApplyToBench) {
 TEST(LintTest, PushBackInHotRegionOnly) {
   const auto diagnostics =
       LintFixture("hot_push_back.cc", "src/fed/hot_push_back.cc");
-  ASSERT_EQ(diagnostics.size(), 1u);
+  ASSERT_EQ(diagnostics.size(), 2u);
   EXPECT_EQ(diagnostics[0].rule, "hot-alloc");
   EXPECT_EQ(diagnostics[0].line, 9u);  // inside AccumulateRow, not the cold twin
   EXPECT_NE(diagnostics[0].message.find("push_back"), std::string::npos);
+  EXPECT_EQ(diagnostics[1].rule, "hot-alloc");
+  EXPECT_EQ(diagnostics[1].line, 10u);  // assign grows like push_back
+  EXPECT_NE(diagnostics[1].message.find("assign"), std::string::npos);
 }
 
 TEST(LintTest, ObsRecordPathAllocationIsRejected) {

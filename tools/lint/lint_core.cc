@@ -392,7 +392,7 @@ class FileLinter {
         bool member_call;  ///< require '.' or '->' before and '(' after
         std::string_view why;
       };
-      static constexpr std::array<Ban, 7> kBans = {{
+      static constexpr std::array<Ban, 8> kBans = {{
           {"new", false, "operator new allocates"},
           {"malloc", true, "malloc allocates"},
           {"resize", true, "resize may reallocate"},
@@ -400,6 +400,7 @@ class FileLinter {
           {"emplace_back", true, "emplace_back may reallocate"},
           {"insert", true, "insert may reallocate"},
           {"reserve", true, "reserve reallocates when capacity grows"},
+          {"assign", true, "assign reallocates when it grows"},
       }};
       for (const Ban& ban : kBans) {
         for (std::size_t pos = FindToken(code, ban.token);
