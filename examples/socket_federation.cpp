@@ -11,7 +11,7 @@
 ///
 /// Three shard daemons run here as threads (the fedrec_shardd binary serves
 /// the identical loop as a standalone process); the round loop runs once over
-/// the in-process buffer-handoff transport and once over TCP, and the two
+/// the in-process transport and once over TCP, and the two
 /// model trajectories are checked bit-identical. Mid-run, one daemon is
 /// killed — its rounds degrade through the outage/retry/fallback ledger and
 /// stay bit-identical — and then restarted on the same port, rejoining via
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   std::printf("dataset: %zu users, %zu items; %zu shards, %zu epochs\n",
               data.num_users(), data.num_items(), num_shards, config.epochs);
 
-  // Reference: the in-process buffer-handoff deployment.
+  // Reference: the in-process deployment.
   Simulation reference(data, config, 0, nullptr, nullptr);
   ShardedRoundEngine inproc(&reference.engine(), &reference.model(), &config,
                             plan, nullptr);

@@ -26,28 +26,16 @@ const char* AggregatorKindToString(AggregatorKind kind) {
   return "?";
 }
 
-void BuildRowIndex(std::span<const ClientUpdate> updates,
-                   AggregationWorkspace& workspace) {
-  std::size_t total_rows = 0;
-  for (const ClientUpdate& update : updates) {
-    total_rows += update.item_gradients.row_count();
-  }
+void GroupRowIndex(AggregationWorkspace& workspace) {
   std::vector<RowContribution>& entries = workspace.row_index;
-  entries.clear();
-  entries.reserve(total_rows);
   std::size_t max_row = 0;
-  for (const ClientUpdate& update : updates) {
-    const auto& rows = update.item_gradients.row_ids();
-    for (std::size_t slot = 0; slot < rows.size(); ++slot) {
-      entries.push_back({rows[slot], update.item_gradients.RowAtSlot(slot).data()});
-      max_row = std::max(max_row, rows[slot]);
-    }
+  for (const RowContribution& entry : entries) {
+    max_row = std::max(max_row, entry.row);
   }
   // Stable LSD radix passes over the row bytes: branch-free counting
-  // scatters group the entries by row while preserving update order within a
+  // scatters group the entries by row while preserving index order within a
   // row (what stable_sort gave, minus its per-call temp buffer and minus a
   // comparison sort's mispredicted branches on fresh data every round).
-  // All scratch lives in the workspace; zero steady-state allocations.
   std::vector<RowContribution>& scratch = workspace.row_index_scratch;
   std::vector<std::uint32_t>& counts = workspace.radix_counts;
   scratch.resize(entries.size());
@@ -238,36 +226,35 @@ void AggregateCoordinateWiseGroups(
   }
 }
 
-void AggregateKrumSparse(std::span<const ClientUpdate> updates,
-                         std::size_t dim, std::size_t krum_honest,
-                         AggregationWorkspace& workspace, SparseRoundDelta& out) {
-  const std::size_t pick = KrumSelect(updates, 0, dim, krum_honest);
-  EmitKrumSelected(updates[pick].item_gradients,
-                   static_cast<float>(updates.size()), workspace, out);
-}
-
-}  // namespace
-
-void EmitKrumSelected(const SparseRowMatrix& upload, float scale,
-                      AggregationWorkspace& workspace, SparseRoundDelta& out) {
-  // Only the selected client's rows are touched; reuse the row index to emit
-  // them in ascending order.
-  const std::size_t dim = upload.cols();
-  std::vector<RowContribution>& entries = workspace.row_index;
-  entries.clear();
-  entries.reserve(upload.row_count());
-  const auto& row_ids = upload.row_ids();
-  for (std::size_t slot = 0; slot < row_ids.size(); ++slot) {
-    entries.push_back({row_ids[slot], upload.RowAtSlot(slot).data()});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const RowContribution& a, const RowContribution& b) {
-              return a.row < b.row;
-            });
-  for (const RowContribution& entry : entries) {
+/// Emits the grouped index (the selected upload's rows, ascending) into
+/// `out` scaled by `scale` — the Krum emit step.
+void EmitKrumSelected(const AggregationWorkspace& workspace, std::size_t dim,
+                      float scale, SparseRoundDelta& out) {
+  for (const RowContribution& entry : workspace.row_index) {
     kernels::Axpy(scale, entry.data, out.AppendRow(entry.row).data(), dim);
   }
 }
+
+/// Fills `workspace.row_index` with every row of every upload, in update
+/// order (the single server's index; GroupRowIndex then groups it).
+void FillRowIndex(std::span<const ClientUpdate> updates,
+                  AggregationWorkspace& workspace) {
+  std::size_t total_rows = 0;
+  for (const ClientUpdate& update : updates) {
+    total_rows += update.item_gradients.row_count();
+  }
+  std::vector<RowContribution>& entries = workspace.row_index;
+  entries.clear();
+  entries.reserve(total_rows);
+  for (const ClientUpdate& update : updates) {
+    const auto& rows = update.item_gradients.row_ids();
+    for (std::size_t slot = 0; slot < rows.size(); ++slot) {
+      entries.push_back({rows[slot], update.item_gradients.RowAtSlot(slot).data()});
+    }
+  }
+}
+
+}  // namespace
 
 std::size_t KrumSelect(std::span<const ClientUpdate> updates,
                        std::size_t num_items, std::size_t dim,
@@ -373,15 +360,30 @@ void AggregateUpdates(std::span<const ClientUpdate> updates, std::size_t dim,
                       const AggregatorOptions& options,
                       AggregationWorkspace& workspace, SparseRoundDelta& out,
                       ThreadPool* pool, std::size_t num_shards) {
+  if (options.kind == AggregatorKind::kKrum && !updates.empty()) {
+    // Krum is a whole-round selection, not a per-row reduction: only the
+    // selected upload is indexed (its emit loop is O(kappa * dim)).
+    const std::size_t pick = KrumSelect(updates, 0, dim, options.krum_honest);
+    FillRowIndex(updates.subspan(pick, 1), workspace);
+  } else {
+    FillRowIndex(updates, workspace);
+  }
+  GroupRowIndex(workspace);
+  AggregateRowIndex(dim, options, static_cast<float>(updates.size()),
+                    workspace, out, pool, num_shards);
+}
+
+// fedrec:hot — shared by the single server and every shard server.
+void AggregateRowIndex(std::size_t dim, const AggregatorOptions& options,
+                       float krum_scale, AggregationWorkspace& workspace,
+                       SparseRoundDelta& out, ThreadPool* pool,
+                       std::size_t num_shards) {
   out.Reset(dim);
-  if (updates.empty()) return;
   if (options.kind == AggregatorKind::kKrum) {
-    // Krum is a whole-round selection, not a per-row reduction; it never
-    // shards (the selected upload's emit loop is O(kappa * dim)).
-    AggregateKrumSparse(updates, dim, options.krum_honest, workspace, out);
+    // The selected upload's emit loop never shards.
+    EmitKrumSelected(workspace, dim, krum_scale, out);
     return;
   }
-  BuildRowIndex(updates, workspace);
   const std::size_t groups = BuildGroups(workspace, out);
   if (groups == 0) return;
   switch (options.kind) {
@@ -423,7 +425,7 @@ void AggregateUpdates(std::span<const ClientUpdate> updates, std::size_t dim,
           });
       return;
     case AggregatorKind::kKrum:
-      return;  // handled above
+      return;  // emitted above
   }
 }
 

@@ -52,11 +52,12 @@ struct RowContribution {
 /// Reusable server-side aggregation scratch. All vectors keep their capacity
 /// across rounds, so steady-state aggregation performs no allocations.
 struct AggregationWorkspace {
-  /// Flat row -> contributors index: every uploaded row as a (row, values)
-  /// entry, stably grouped by row id (LSD radix passes) so each item's
-  /// contributors form one contiguous run in update order.
+  /// Flat row -> contributors index: every indexed row as a (row, values)
+  /// entry pointing into the uploads, stably grouped by row id
+  /// (GroupRowIndex) so each item's contributors form one contiguous run in
+  /// update order.
   std::vector<RowContribution> row_index;
-  /// Radix ping-pong buffer and per-pass histogram for BuildRowIndex.
+  /// Radix ping-pong buffer and per-pass histogram for GroupRowIndex.
   std::vector<RowContribution> row_index_scratch;
   std::vector<std::uint32_t> radix_counts;
   /// Group partition of `row_index`: group_offsets[g] is the index of the
@@ -81,12 +82,12 @@ struct AggregationWorkspace {
   std::vector<ShardScratch> shards;
 };
 
-/// Rebuilds `workspace.row_index` from the round's uploads. Exposed so the
-/// round engine can share the index with other per-round consumers. Updates
-/// are taken as a span so callers with persistent slot vectors (the shard
-/// servers' routed-upload pools) can pass an active prefix without resizing.
-void BuildRowIndex(std::span<const ClientUpdate> updates,
-                   AggregationWorkspace& workspace);
+/// Stably groups `workspace.row_index` by row id in place (LSD radix passes
+/// over the row bytes), keeping each row's contributors in index order. The
+/// single-server path fills the index with every uploaded row in update
+/// order; a shard server fills it with only the rows it owns. Zero
+/// steady-state allocations: the scratch lives in the workspace.
+void GroupRowIndex(AggregationWorkspace& workspace);
 
 class ThreadPool;
 
@@ -108,22 +109,24 @@ void AggregateUpdates(std::span<const ClientUpdate> updates, std::size_t dim,
                       AggregationWorkspace& workspace, SparseRoundDelta& out,
                       ThreadPool* pool = nullptr, std::size_t num_shards = 0);
 
+/// Aggregates a grouped `workspace.row_index` (see GroupRowIndex) into `out`:
+/// the per-row body behind AggregateUpdates and every shard server, so the
+/// single-server and sharded math cannot fork. For kKrum the index must hold
+/// exactly the selected upload's rows; they are emitted scaled by
+/// `krum_scale` (the round size: the winner stands in for the whole round,
+/// keeping the learning-rate semantics of Eq. 7). The per-row rules ignore
+/// `krum_scale` and shard across `pool` as AggregateUpdates describes.
+void AggregateRowIndex(std::size_t dim, const AggregatorOptions& options,
+                       float krum_scale, AggregationWorkspace& workspace,
+                       SparseRoundDelta& out, ThreadPool* pool = nullptr,
+                       std::size_t num_shards = 0);
+
 /// Dense convenience overload: aggregates sparsely, then scatters into a
 /// num_items x dim matrix. Tests and offline tooling only — the round loop
 /// applies the sparse delta directly.
 Matrix AggregateUpdates(std::span<const ClientUpdate> updates,
                         std::size_t num_items, std::size_t dim,
                         const AggregatorOptions& options);
-
-/// Emits `upload`'s rows into `out` in ascending row order, scaled by
-/// `scale` — the Krum emit step (the selected client's update stands in for
-/// the whole round, rescaled to the round size to keep the learning-rate
-/// semantics of Eq. 7). Shared by the single-server kKrum rule and the shard
-/// servers, whose winner is selected globally; extracting it keeps the two
-/// paths bit-identical by construction. Uses `workspace.row_index` as
-/// sorting scratch.
-void EmitKrumSelected(const SparseRowMatrix& upload, float scale,
-                      AggregationWorkspace& workspace, SparseRoundDelta& out);
 
 /// Krum selection: index into `updates` of the client whose upload minimizes
 /// the summed squared distance to its closest (honest - 2) neighbours,

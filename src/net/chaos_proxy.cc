@@ -75,9 +75,6 @@ ChaosProxy::ChaosProxy(Options options) : options_(std::move(options)) {
 }
 
 ChaosProxy::~ChaosProxy() {
-  for (std::unique_ptr<Link>& link : links_) {
-    if (link != nullptr && link->open) CloseLink(*link, /*hard_reset=*/false);
-  }
   CloseSocket(listen_fd_);
   CloseSocket(wake_read_);
   CloseSocket(wake_write_);
@@ -137,6 +134,11 @@ void ChaosProxy::Run() {
   }
   loop_.Remove(listen_fd_);
   loop_.Remove(wake_read_);
+  // A stopped relay holds no connection open: both peers of every link see
+  // the close as soon as Run returns, not when the proxy is destroyed.
+  for (std::unique_ptr<Link>& link : links_) {
+    if (link != nullptr && link->open) CloseLink(*link, /*hard_reset=*/false);
+  }
 }
 
 void ChaosProxy::AcceptPending() {

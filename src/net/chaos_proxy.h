@@ -123,7 +123,8 @@ class ChaosProxy {
   [[nodiscard]] Status Listen();
   std::uint16_t port() const { return port_; }
 
-  /// Relays until RequestStop(). Blocks the caller (run it on a thread).
+  /// Relays until RequestStop(), then closes every relayed link, so both
+  /// peers see EOF once Run returns. Blocks the caller (run it on a thread).
   void Run();
 
   /// Thread-safe stop signal (self-pipe wakeup into the event loop).

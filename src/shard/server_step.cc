@@ -109,13 +109,9 @@ std::uint64_t ServerStep::Run(std::span<const ClientUpdate> updates,
                               const ShardRetryPolicy& retry,
                               std::uint64_t round) {
   ShardServer& server = transport_->server();
-  {
-    obs::ScopedSpan span("route", metrics_.route);
-    server.RouteRound(updates, pool_);
-  }
   // Krum is a whole-round selection: decide on the coordinator (which holds
-  // the full uploads before routing anyway) and broadcast the winner's
-  // round sequence number to the shards.
+  // the full uploads) and broadcast the winner's round sequence number to
+  // the shards.
   std::uint64_t krum_source = 0;
   if (options.kind == AggregatorKind::kKrum && !updates.empty()) {
     krum_source = KrumSelect(updates, /*num_items=*/0, model_->dim(),
@@ -123,16 +119,21 @@ std::uint64_t ServerStep::Run(std::span<const ClientUpdate> updates,
   }
   std::uint64_t backoff = 0;
   if (!transport_->fallible()) {
-    // In-process wire corruption is a programming error, not an environmental
-    // failure: fail fast instead of threading Status through the round loop.
+    // Nothing can fail between the uploads and the shards, so no wire bytes
+    // are built: each shard indexes its rows straight from the uploads and
+    // the merge reads the shard deltas in place. Routing is part of each
+    // shard's index build, so no route span is recorded.
     {
       obs::ScopedSpan span("shard_aggregate", metrics_.shard_aggregate);
-      server.AggregateRound(options, updates.size(), krum_source, pool_)
-          .CheckOK();
+      server.AggregateRoundDirect(updates, options, krum_source, pool_);
     }
     obs::ScopedSpan span("merge", metrics_.merge);
-    server.MergeRoundDelta(merged_).CheckOK();
+    server.MergeShardDeltas(merged_).CheckOK();
   } else {
+    {
+      obs::ScopedSpan span("route", metrics_.route);
+      server.RouteRound(updates, pool_);
+    }
     {
       obs::ScopedSpan span("shard_aggregate", metrics_.shard_aggregate);
       const Delivery delivery{updates, &options, &retry, krum_source, round};

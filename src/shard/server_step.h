@@ -17,21 +17,24 @@
 /// \file
 /// The server half of a sharded round, written once for every driver:
 ///
-///   Route (FRWU wire) -> Krum pick -> per-shard Aggregate (FRWD wire)
-///     -> Merge -> Apply
+///   Krum pick -> per-shard Aggregate -> Merge -> Apply
 ///
 /// ShardedRoundEngine runs it after RoundEngine's client half;
 /// FederationService runs it when a round's socket uploads have landed.
 /// The transport picks the shard aggregation branch. An infallible one
-/// (in-process, unarmed) fails fast on any wire error. A fallible one
-/// (sockets, or in-process armed with a FaultPlan) runs the degraded
+/// (in-process, unarmed) builds no wire bytes: each shard aggregates the
+/// rows it owns straight from the uploads and the merge reads the shard
+/// deltas in place. A fallible one (sockets, or in-process armed with a
+/// FaultPlan) routes the uploads onto the FRWU wire and runs the degraded
 /// protocol per shard: bounded retries, each a pristine re-route with an
 /// exponential backoff, then a coordinator-local fallback over the shard's
 /// row range. Either way the merged delta is bit-identical to the
 /// single-server RoundEngine for every aggregation rule and shard count.
 ///
 /// The step owns the server half's observability: the
-/// `fedrec_stage_us{stage=route|shard_aggregate|merge|apply}` spans, the
+/// `fedrec_stage_us{stage=route|shard_aggregate|merge|apply}` spans (route
+/// only on the wire branch; the direct branch's index build is part of
+/// shard_aggregate), the
 /// `fedrec_shard_{retries,outages,fallbacks}_total` counters and the wire
 /// ledger, republished as `fedrec_fault_*{scope="wire"}`.
 

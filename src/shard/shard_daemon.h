@@ -24,7 +24,7 @@
 /// epoll event loop accepts coordinator connections, reassembles length-
 /// framed deliveries from reused per-connection buffers, runs the shard's
 /// decode + aggregate + FRWD re-encode step in place on those bytes (the
-/// same `// fedrec:hot` codec path the in-process deployment runs), and
+/// same `// fedrec:hot` codec path a fault-armed in-process round runs), and
 /// streams the reply back through a short-write-safe send queue. Steady
 /// state — one coordinator delivering round after round — allocates
 /// nothing; buffers are high-water sized.

@@ -11,21 +11,59 @@ namespace fedrec {
 
 ShardServer::ShardServer(const ShardPlan& plan, std::size_t dim)
     : plan_(plan), dim_(dim), shards_(plan.num_shards()),
-      received_(plan.num_shards()), cursor_(plan.num_shards(), 0) {
+      received_(plan.num_shards()), merge_sources_(plan.num_shards()),
+      cursor_(plan.num_shards(), 0) {
   FEDREC_CHECK_GT(dim, 0u);
 }
 
-void ShardServer::RouteRound(std::span<const ClientUpdate> updates,
-                             ThreadPool* pool) {
+void ShardServer::CheckRowsInPlan(
+    std::span<const ClientUpdate> updates) const {
   // A row outside the plan would silently match no shard under the
   // contiguous policy; the single-server engine aborts on such a row at
-  // Apply, so the router aborts too instead of quietly dropping it.
+  // Apply, so both paths abort too instead of quietly dropping it.
   for (const ClientUpdate& update : updates) {
     for (std::size_t row : update.item_gradients.row_ids()) {
       FEDREC_CHECK_LT(row, plan_.num_items())
           << "uploaded row outside the shard plan";
     }
   }
+}
+
+namespace {
+
+/// What every shard's direct step of one round shares (one pointer for the
+/// ParallelFor closure, which then fits std::function's inline storage).
+struct DirectRound {
+  std::span<const ClientUpdate> uploads;
+  const AggregatorOptions* options;
+  std::size_t round_size;
+};
+
+}  // namespace
+
+void ShardServer::AggregateRoundDirect(std::span<const ClientUpdate> updates,
+                                       const AggregatorOptions& options,
+                                       std::uint64_t krum_source,
+                                       ThreadPool* pool) {
+  CheckRowsInPlan(updates);
+  DirectRound round{updates, &options, updates.size()};
+  if (options.kind == AggregatorKind::kKrum && !updates.empty()) {
+    FEDREC_CHECK_LT(krum_source, updates.size());
+    round.uploads = updates.subspan(krum_source, 1);
+  }
+  ParallelFor(pool, shards_.size(), [this, &round](std::size_t s) {
+    ShardState& shard = shards_[s];
+    Stopwatch timer;
+    AggregateOwnedRows(shard, s, round.uploads, *round.options,
+                       round.round_size);
+    shard.route_seconds = 0.0;
+    shard.aggregate_seconds = timer.ElapsedSeconds();
+  });
+}
+
+void ShardServer::RouteRound(std::span<const ClientUpdate> updates,
+                             ThreadPool* pool) {
+  CheckRowsInPlan(updates);
   // Each shard scans the whole round and keeps only its rows: S scans of the
   // row-id lists (cheap integer work) buy fully independent per-shard encode
   // loops — no shared output buffer, no ordering hand-off, and update order
@@ -124,30 +162,58 @@ Status ShardServer::DecodeInbox(ShardState& shard, std::size_t s,
   return Status::OK();
 }
 
-void ShardServer::AggregateShard(ShardState& shard,
+// fedrec:hot — the per-shard index build and aggregate of both paths; the
+// index grows only to the high water of a round's uploaded rows.
+void ShardServer::AggregateOwnedRows(ShardState& shard, std::size_t s,
+                                     std::span<const ClientUpdate> uploads,
+                                     const AggregatorOptions& options,
+                                     std::size_t round_size) {
+  std::vector<RowContribution>& index = shard.aggregation.row_index;
+  // Counting pass: the round's row count bounds what this shard owns.
+  std::size_t bound = 0;
+  for (const ClientUpdate& upload : uploads) {
+    bound += upload.item_gradients.row_count();
+  }
+  index.resize(bound);  // fedrec:alloc-ok — high water of a round's rows
+  // ShardOf(row) == s, as a range test where the policy allows one (a
+  // division per row per shard otherwise dominates the scan).
+  const bool ranged = plan_.policy() == ShardPolicy::kContiguousRange;
+  const std::size_t first = plan_.RangeBegin(s);
+  const std::size_t width = plan_.RangeEnd(s) - first;
+  std::size_t owned = 0;
+  for (const ClientUpdate& upload : uploads) {
+    const SparseRowMatrix& gradients = upload.item_gradients;
+    const std::vector<std::size_t>& rows = gradients.row_ids();
+    for (std::size_t slot = 0; slot < rows.size(); ++slot) {
+      const std::size_t row = rows[slot];
+      if (ranged ? row - first >= width : plan_.ShardOf(row) != s) continue;
+      index[owned++] = {row, gradients.RowAtSlot(slot).data()};
+    }
+  }
+  index.resize(owned);  // fedrec:alloc-ok — shrinks, never reallocates
+  GroupRowIndex(shard.aggregation);
+  AggregateRowIndex(dim_, options, static_cast<float>(round_size),
+                    shard.aggregation, shard.delta);
+}
+
+void ShardServer::AggregateShard(ShardState& shard, std::size_t s,
                                  const AggregatorOptions& options,
                                  std::size_t round_size,
                                  std::uint64_t krum_source) {
-  const std::span<const ClientUpdate> routed(shard.routed.data(),
-                                             shard.routed_count);
-  if (options.kind != AggregatorKind::kKrum) {
-    AggregateUpdates(routed, dim_, options, shard.aggregation, shard.delta);
-    return;
-  }
-  // Krum: the coordinator already selected the round's winner globally; this
-  // shard contributes the winner's routed rows through the same emit helper
-  // as the single-server rule, scaled by the round size. Sequence ids are
-  // round-unique, so at most one routed upload can match.
-  shard.delta.Reset(dim_);
-  for (std::size_t i = 0; i < shard.routed_count; ++i) {
-    if (shard.routed_source[i] == krum_source) {
-      EmitKrumSelected(shard.routed[i].item_gradients,
-                       static_cast<float>(round_size), shard.aggregation,
-                       shard.delta);
-      return;
+  std::span<const ClientUpdate> routed(shard.routed.data(),
+                                       shard.routed_count);
+  if (options.kind == AggregatorKind::kKrum) {
+    // The coordinator already selected the round's winner globally; this
+    // shard contributes the winner's routed rows, if it has any. Sequence
+    // ids are round-unique, so at most one routed upload can match.
+    std::size_t winner = 0;
+    while (winner < routed.size() &&
+           shard.routed_source[winner] != krum_source) {
+      ++winner;
     }
+    routed = routed.subspan(winner, winner < routed.size() ? 1 : 0);
   }
-  // The winner touched no row of this shard: empty shard delta.
+  AggregateOwnedRows(shard, s, routed, options, round_size);
 }
 
 Status ShardServer::AggregateShardFromWire(std::size_t s,
@@ -160,7 +226,7 @@ Status ShardServer::AggregateShardFromWire(std::size_t s,
   Stopwatch timer;
   shard.status = DecodeInbox(shard, s, inbox_wire, expected_messages);
   if (shard.status.ok()) {
-    AggregateShard(shard, options, round_size, krum_source);
+    AggregateShard(shard, s, options, round_size, krum_source);
     shard.delta_wire.Clear();
     EncodeDelta(shard.delta, shard.delta_wire);
   }
@@ -229,6 +295,21 @@ Status ShardServer::MergeRoundDelta(SparseRoundDelta& out) {
 }
 
 Status ShardServer::MergeReceived(SparseRoundDelta& out) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    merge_sources_[s] = &received_[s];
+  }
+  return MergeSources(out);
+}
+
+Status ShardServer::MergeShardDeltas(SparseRoundDelta& out) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    merge_sources_[s] = &shards_[s].delta;
+  }
+  return MergeSources(out);
+}
+
+// fedrec:hot — the coordinator's per-round merge; `out` keeps its capacity.
+Status ShardServer::MergeSources(SparseRoundDelta& out) {
   Stopwatch timer;
   for (std::size_t s = 0; s < shards_.size(); ++s) cursor_[s] = 0;
   // Sorted-row union: shard row sets are disjoint, so the merge is a k-way
@@ -240,8 +321,9 @@ Status ShardServer::MergeReceived(SparseRoundDelta& out) {
     std::size_t min_row = kDone;
     std::size_t min_shard = 0;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (cursor_[s] >= received_[s].row_count()) continue;
-      const std::size_t row = received_[s].rows()[cursor_[s]];
+      const SparseRoundDelta& delta = *merge_sources_[s];
+      if (cursor_[s] >= delta.row_count()) continue;
+      const std::size_t row = delta.rows()[cursor_[s]];
       if (row < min_row) {
         min_row = row;
         min_shard = s;
@@ -251,7 +333,7 @@ Status ShardServer::MergeReceived(SparseRoundDelta& out) {
       }
     }
     if (min_row == kDone) break;
-    const auto src = received_[min_shard].RowAtSlot(cursor_[min_shard]);
+    const auto src = merge_sources_[min_shard]->RowAtSlot(cursor_[min_shard]);
     std::copy(src.begin(), src.end(),
               out.AppendRowForOverwrite(min_row).begin());
     ++cursor_[min_shard];

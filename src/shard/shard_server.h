@@ -17,7 +17,17 @@
 /// \file
 /// Multi-shard aggregation service: the server side of a round, split across
 /// S shard servers that each own a disjoint slice of the item rows (see
-/// ShardPlan). A round flows through three wire-delimited steps:
+/// ShardPlan). A round takes one of two paths.
+///
+/// The direct path (AggregateRoundDirect, then MergeShardDeltas) is what an
+/// unarmed in-process round runs, where nothing can fail between the uploads
+/// and the shards. Each shard indexes the uploaded rows it owns in place,
+/// with pointers into the uploads and no copy, aggregates them into its
+/// shard delta, and the coordinator merges the shard deltas as they are.
+///
+/// The wire path carries the same round in three wire-delimited steps. It is
+/// what sockets and armed fault plans run, since only bytes can be sent or
+/// corrupted, and what the retry protocol resends:
 ///
 ///   RouteRound      — every upload's rows are split by owning shard and
 ///                     encoded as FRWU messages into per-shard inboxes
@@ -27,27 +37,29 @@
 ///   MergeRoundDelta — the coordinator decodes the per-shard deltas and
 ///                     merges them by sorted-row union
 ///
-/// Because every row is owned by exactly one shard and routing preserves
-/// update order, each row's contributor sequence on its shard is exactly the
-/// single-server sweep's — the merged delta is bit-identical to
-/// AggregateUpdates over the whole round, for every aggregation rule and any
-/// shard count. Krum is the one whole-round rule: the coordinator runs
-/// KrumSelect globally and broadcasts the winner's source id; shards emit
-/// only the winner's routed rows (scaled to the round size, as the
-/// single-server rule does).
+/// Both paths run one per-shard body (index the owned rows in update order,
+/// group, aggregate) and one merge, so they cannot disagree. Because every
+/// row is owned by exactly one shard and update order is preserved, each
+/// row's contributor sequence on its shard is exactly the single-server
+/// sweep's — the merged delta is bit-identical to AggregateUpdates over the
+/// whole round, for every aggregation rule and any shard count. Krum is the
+/// one whole-round rule: the coordinator runs KrumSelect globally and
+/// broadcasts the winner's round sequence number; shards emit only the
+/// winner's rows they own (scaled to the round size, as the single-server
+/// rule does).
 ///
 /// All per-shard state (inboxes, routed-upload slots, aggregation workspace,
 /// delta and its wire form) is persistent and high-water sized: a
-/// steady-state round routes, aggregates and merges without heap growth
-/// (measured by the sparse-allocation hook, which the wire writers also
-/// feed). In-process the "wire" is a byte buffer handoff; a real deployment
-/// replaces the handoff with sockets and keeps every encode/decode path.
+/// steady-state round on either path runs without heap growth. FRWU/FRWD
+/// bytes exist only on the wire path, so ShardServerStats counts only
+/// wire-path rounds.
 
 namespace fedrec {
 
-/// Cumulative wire-traffic counters (divide by rounds for per-round cost).
+/// Cumulative wire-traffic counters of the wire path (divide by rounds for
+/// per-round cost); the direct path moves no bytes and counts nothing.
 struct ShardServerStats {
-  std::uint64_t rounds = 0;            ///< rounds routed
+  std::uint64_t rounds = 0;            ///< rounds routed onto the wire
   std::uint64_t upload_messages = 0;   ///< FRWU messages delivered
   std::uint64_t upload_bytes = 0;      ///< total FRWU bytes
   std::uint64_t delta_bytes = 0;       ///< total FRWD bytes
@@ -63,6 +75,22 @@ class ShardServer {
 
   const ShardPlan& plan() const { return plan_; }
   std::size_t dim() const { return dim_; }
+
+  /// The direct path's shard step: each shard indexes the rows of `updates`
+  /// it owns (in update order, as pointers into `updates` that are read only
+  /// during this call) and aggregates them into its shard delta,
+  /// concurrently across shards on `pool` (may be null). For kKrum only
+  /// `updates[krum_source]`, the globally selected upload, is indexed. Same
+  /// per-shard body and result as RouteRound + AggregateRound, without the
+  /// wire. Aborts on a row outside the plan, as RouteRound does.
+  void AggregateRoundDirect(std::span<const ClientUpdate> updates,
+                            const AggregatorOptions& options,
+                            std::uint64_t krum_source, ThreadPool* pool);
+
+  /// Merges the shard deltas of the last AggregateRoundDirect (or
+  /// AggregateRound) into `out`: the same merge MergeReceived runs over the
+  /// decoded receive slots.
+  [[nodiscard]] Status MergeShardDeltas(SparseRoundDelta& out);
 
   /// Clears last round's inboxes and encodes every upload's routed rows into
   /// them: one FRWU message per (update, owning shard) pair with at least
@@ -153,7 +181,8 @@ class ShardServer {
     return shards_[s].message_count;
   }
 
-  /// Shard `s`'s own decoded delta from the last AggregateRound (pre-wire).
+  /// Shard `s`'s own delta from the last AggregateRound or
+  /// AggregateRoundDirect (pre-wire).
   const SparseRoundDelta& shard_delta(std::size_t s) const {
     return shards_[s].delta;
   }
@@ -163,12 +192,13 @@ class ShardServer {
   /// Wall seconds shard `s` spent in its own routing / decode+aggregate work
   /// last round, excluding scheduling. Measured per shard regardless of the
   /// pool, so a single-core host can still report the per-shard critical
-  /// path an S-worker deployment would pay.
+  /// path an S-worker deployment would pay. The direct path routes nothing:
+  /// its route time is 0 and its index build counts as aggregate time.
   double route_seconds(std::size_t s) const { return shards_[s].route_seconds; }
   double aggregate_seconds(std::size_t s) const {
     return shards_[s].aggregate_seconds;
   }
-  /// Wall seconds of the last MergeRoundDelta (coordinator-serial work).
+  /// Wall seconds of the last merge (coordinator-serial work).
   double merge_seconds() const { return merge_seconds_; }
 
  private:
@@ -187,6 +217,8 @@ class ShardServer {
     double aggregate_seconds = 0.0;
   };
 
+  /// Aborts on an uploaded row outside the plan.
+  void CheckRowsInPlan(std::span<const ClientUpdate> updates) const;
   /// Routes one shard's slice of the round into its inbox (RouteRound's
   /// per-shard body; RerouteShard re-runs it for the retry path).
   void RouteShard(std::span<const ClientUpdate> updates, std::size_t s);
@@ -205,15 +237,25 @@ class ShardServer {
                                               const AggregatorOptions& options,
                                               std::size_t round_size,
                                               std::uint64_t krum_source);
-  /// Aggregates shard `s`'s routed uploads into its delta.
-  void AggregateShard(ShardState& shard, const AggregatorOptions& options,
-                      std::size_t round_size, std::uint64_t krum_source);
+  /// Aggregates shard `s`'s decoded routed uploads into its delta.
+  void AggregateShard(ShardState& shard, std::size_t s,
+                      const AggregatorOptions& options, std::size_t round_size,
+                      std::uint64_t krum_source);
+  /// The per-shard body of both paths: indexes the rows of `uploads` that
+  /// shard `s` owns, groups them and aggregates them into `shard.delta`.
+  void AggregateOwnedRows(ShardState& shard, std::size_t s,
+                          std::span<const ClientUpdate> uploads,
+                          const AggregatorOptions& options,
+                          std::size_t round_size);
+  /// Sorted-row union of the deltas `merge_sources_` points at, into `out`.
+  [[nodiscard]] Status MergeSources(SparseRoundDelta& out);
 
   ShardPlan plan_;
   std::size_t dim_;
   std::vector<ShardState> shards_;
   // Coordinator-side merge state (reused round over round).
   std::vector<SparseRoundDelta> received_;
+  std::vector<const SparseRoundDelta*> merge_sources_;  ///< delta of shard s
   std::vector<std::size_t> cursor_;
   ShardServerStats stats_;
   double merge_seconds_ = 0.0;

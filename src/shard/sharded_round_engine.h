@@ -18,16 +18,16 @@
 /// the single server's Aggregate/Apply:
 ///
 ///   Select -> LocalTrain -> Attack -> Observe -> transit faults
-///     -> ServerStep: Route -> Krum -> shard Aggregate -> Merge -> Apply
+///     -> ServerStep: Krum -> shard Aggregate -> Merge -> Apply
 ///
-/// The ShardTransport seam carries the wire bytes: in-process buffer
-/// handoffs (the default) or TCP to fedrec_shardd processes
-/// (SocketShardTransport). The engine arms its owned in-process transport
-/// with the fault plan exactly when faults are active, and charges the
-/// step's retry backoff to the virtual clock.
+/// The ShardTransport seam decides where shards run: in-process (the
+/// default) or over TCP to fedrec_shardd processes (SocketShardTransport).
+/// The engine arms its owned in-process transport with the fault plan
+/// exactly when faults are active, so FRWU/FRWD wire bytes are built only
+/// then, and charges the step's retry backoff to the virtual clock.
 ///
 /// Every upload of the round — the malicious ones produced by the Attack
-/// stage included — flows through the same routed wire path, so poisoned
+/// stage included — flows through the same shard path, so poisoned
 /// rows split across shards exactly like benign ones; a shard cannot tell
 /// them apart any better than the single server could. The merged delta is
 /// bit-identical to the single-server RoundEngine for every aggregation rule
@@ -39,7 +39,7 @@ namespace fedrec {
 /// Drives RoundEngine's client half and ServerStep's server half.
 class ShardedRoundEngine {
  public:
-  /// In-process deployment: constructs and owns the buffer-handoff
+  /// In-process deployment: constructs and owns the in-process
   /// transport. All pointers are borrowed and must outlive this engine.
   /// `engine` is the single-federation round engine whose client half is
   /// reused (its Aggregate/Apply are never called); `pool` fans both

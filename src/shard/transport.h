@@ -13,9 +13,10 @@
 /// inbox reaches its compute and how the FRWD reply comes back. ServerStep
 /// (shard/server_step.h) — the one server half that ShardedRoundEngine and
 /// FederationService both run — talks only to ShardTransport, so the same
-/// step runs over in-process buffer handoffs or TCP connections to
-/// fedrec_shardd processes: the deployment shape is a constructor argument,
-/// not a code path.
+/// step runs in-process or over TCP connections to fedrec_shardd processes:
+/// the deployment shape is a constructor argument, not a code path. FRWU and
+/// FRWD bytes exist only when a transport is fallible (sockets, or an armed
+/// fault plan); an infallible transport's rounds never touch the wire.
 ///
 /// Failure taxonomy (what ServerStep's retry/fallback protocol keys on):
 ///   kIOError     the shard is out — refused/dead connection, timeout, or an
@@ -59,10 +60,11 @@ class ShardTransport {
   virtual const char* name() const = 0;
 };
 
-/// The default deployment: the wire is a byte-buffer handoff inside the
-/// coordinator process. With an armed fault plan the handoff injects the
-/// deterministic outage/corruption draws of the fault protocol; without one
-/// it is infallible.
+/// The default deployment: shards run inside the coordinator process.
+/// Unarmed it is infallible, and ServerStep aggregates each shard straight
+/// from the uploads with no wire bytes. With an armed fault plan the wire is
+/// a byte-buffer handoff that injects the deterministic outage/corruption
+/// draws of the fault protocol.
 class InProcessShardTransport final : public ShardTransport {
  public:
   InProcessShardTransport(const ShardPlan& plan, std::size_t dim)

@@ -580,7 +580,12 @@ struct OverloadOutcome {
 /// accepted sockets have a one-byte SO_SNDBUF, and never reads a single
 /// reply. The client's own receive buffer is capped too: left to autotune,
 /// it can grow large enough to absorb every ack, so the service's queue
-/// never reaches high water. Returns the shed/allocation ledger of the run.
+/// never reaches high water. The cap (64 KB) is far below the ~0.6 MB of
+/// acks (about 40 bytes a round) the run produces, yet large enough for the
+/// kernel to collapse the tiny ack segments it queues. A cap of a few KB cannot hold
+/// them collapsed: the client then drops the service's segments, and with
+/// them the ACKs for its own uploads, so both directions of the connection
+/// stall in retransmission backoff. Returns the shed/allocation ledger.
 OverloadOutcome RunOverload(std::size_t uploads) {
   Rng init(11);
   MfModel model(kNumItems, ModelParams(), init);
@@ -593,7 +598,7 @@ OverloadOutcome RunOverload(std::size_t uploads) {
   OverloadOutcome outcome;
   {
     ServiceHarness harness(&model, /*num_shards=*/1, options);
-    TestClient client(harness.port(), /*rcvbuf_bytes=*/4096);
+    TestClient client(harness.port(), /*rcvbuf_bytes=*/65536);
     const std::array<std::size_t, 1> rows = {7};
     const std::string upload =
         EncodeClientUpload(MakeGradients(3, 0, rows), 3);

@@ -2,6 +2,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -755,6 +756,59 @@ TEST(ChaosProxyTest, ZeroChaosIsATransparentRelay) {
   EXPECT_GE(proxy.stats().bytes_forwarded, 2 * message.size());
   EXPECT_EQ(proxy.stats().resets_injected, 0u);
   EXPECT_EQ(proxy.stats().corruptions_injected, 0u);
+}
+
+TEST(ChaosProxyTest, StoppedRelayClosesItsLinks) {
+  // The client stays connected while the relay stops: the upstream peer must
+  // still see EOF once Run returns, or a peer blocked on the link would wait
+  // for the proxy's destruction.
+  Result<int> upstream = TcpListen("127.0.0.1", 0, 4);
+  ASSERT_TRUE(upstream.ok());
+  Result<std::uint16_t> upstream_port = BoundPort(upstream.value());
+  ASSERT_TRUE(upstream_port.ok());
+
+  ChaosProxy::Options options;
+  options.upstream_port = upstream_port.value();
+  ChaosProxy proxy(options);
+  ASSERT_TRUE(proxy.Listen().ok());
+  std::thread relay([&proxy] { proxy.Run(); });
+
+  Result<int> client = TcpConnect("127.0.0.1", proxy.port());
+  ASSERT_TRUE(client.ok());
+  SetIoTimeout(client.value(), 5000).CheckOK();
+  int peer = -1;
+  while (peer < 0) {
+    ASSERT_TRUE(TcpAccept(upstream.value(), peer).ok());
+  }
+  SetIoTimeout(peer, 2000).CheckOK();
+
+  // One round trip through the relay.
+  const std::string message = "ping";
+  const std::string_view pieces[] = {std::string_view(message)};
+  ASSERT_TRUE(WriteAllVec(client.value(), pieces).ok());
+  std::string relayed(message.size(), '\0');
+  ASSERT_TRUE(
+      ReadExact(peer, std::span<char>(relayed.data(), relayed.size())).ok());
+  ASSERT_TRUE(WriteAllVec(peer, pieces).ok());
+  std::string echoed(message.size(), '\0');
+  ASSERT_TRUE(
+      ReadExact(client.value(), std::span<char>(echoed.data(), echoed.size()))
+          .ok());
+  EXPECT_EQ(echoed, message);
+
+  proxy.RequestStop();
+  relay.join();
+  char byte = 0;
+  const ssize_t n = ::recv(peer, &byte, 1, 0);
+  EXPECT_EQ(n, 0) << "upstream link still open after Run returned (recv "
+                  << n << ", errno " << errno << ")";
+  EXPECT_EQ(proxy.open_links(), 0u);
+
+  int client_fd = client.value();
+  CloseSocket(client_fd);
+  CloseSocket(peer);
+  int upstream_fd = upstream.value();
+  CloseSocket(upstream_fd);
 }
 
 TEST(ChaosProxyTest, CertainResetKillsTheConnection) {

@@ -1,5 +1,9 @@
 #include "shard/sharded_round_engine.h"
 
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 #include <set>
 #include <vector>
 
@@ -12,8 +16,71 @@
 #include "data/synthetic.h"
 #include "fed/simulation.h"
 #include "shard/shard_plan.h"
+#include "shard/server_step.h"
 #include "shard/shard_server.h"
+#include "shard/transport.h"
 #include "shard/wire.h"
+
+// Every operator new in this binary is counted, so an allocation-free claim
+// below means zero real heap allocations, not zero hooked container growths.
+namespace {
+std::atomic<std::uint64_t> g_operator_news{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_operator_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
+  g_operator_news.fetch_add(1, std::memory_order_relaxed);
+  const auto alignment = static_cast<std::size_t>(align);
+  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  return std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded);
+}
+
+// Out of line: GCC flags a free() inlined into a caller of operator new
+// (-Wmismatched-new-delete), although both sides here are malloc-backed.
+[[gnu::noinline]] void CountedFree(void* p) { std::free(p); }
+
+void* CountedAllocOrThrow(std::size_t size) {
+  void* p = CountedAlloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void* CountedAlignedAllocOrThrow(std::size_t size, std::align_val_t align) {
+  void* p = CountedAlignedAlloc(size, align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAllocOrThrow(size); }
+void* operator new[](std::size_t size) { return CountedAllocOrThrow(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAlignedAllocOrThrow(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return CountedAlignedAllocOrThrow(size, align);
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  CountedFree(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  CountedFree(p);
+}
 
 namespace fedrec {
 namespace {
@@ -263,6 +330,190 @@ TEST(ShardServerTest, DimensionMismatchFailsLoudly) {
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
 }
 
+// --- Direct path vs staged wire path -----------------------------------------
+
+/// Same column count, same rows, same value bits.
+void ExpectSameBytes(const SparseRoundDelta& actual,
+                     const SparseRoundDelta& expected,
+                     const std::string& label) {
+  ASSERT_EQ(actual.cols(), expected.cols()) << label;
+  ASSERT_EQ(actual.rows(), expected.rows()) << label;
+  for (std::size_t slot = 0; slot < actual.row_count(); ++slot) {
+    EXPECT_EQ(std::memcmp(actual.RowAtSlot(slot).data(),
+                          expected.RowAtSlot(slot).data(),
+                          actual.cols() * sizeof(float)),
+              0)
+        << label << " row " << actual.rows()[slot];
+  }
+}
+
+std::string CaseLabel(AggregatorKind kind, const ShardPlan& plan,
+                      const ThreadPool* pool) {
+  return std::string(AggregatorKindToString(kind)) + " policy=" +
+         ShardPolicyToString(plan.policy()) +
+         " shards=" + std::to_string(plan.num_shards()) +
+         (pool != nullptr ? " pool=4" : " pool=null");
+}
+
+/// One round through the unarmed in-process ServerStep (the direct path);
+/// returns its merged delta. The round must move no wire byte.
+SparseRoundDelta DirectStepDelta(const ShardPlan& plan,
+                                 const std::vector<ClientUpdate>& updates,
+                                 std::size_t dim,
+                                 const AggregatorOptions& options,
+                                 ThreadPool* pool) {
+  MfHyperParams params;
+  params.dim = dim;
+  Rng init(5);
+  MfModel model(plan.num_items(), params, init);
+  InProcessShardTransport transport(plan, dim);
+  ServerStep step(&model, &transport, pool);
+  step.Run(updates, options, 0.05f, ShardRetryPolicy{}, /*round=*/0);
+  EXPECT_EQ(transport.server().stats().upload_bytes, 0u);
+  EXPECT_EQ(transport.server().stats().delta_bytes, 0u);
+  return step.merged_delta();
+}
+
+constexpr AggregatorKind kAllRules[] = {
+    AggregatorKind::kSum, AggregatorKind::kTrimmedMean,
+    AggregatorKind::kMedian, AggregatorKind::kNormBound,
+    AggregatorKind::kKrum};
+
+TEST(ServerStepTest, DirectPathMatchesTheStagedWireByteForByte) {
+  const std::size_t num_items = 40;
+  const std::size_t dim = 5;
+  const auto updates = RandomUpdates(17, num_items, dim, 12, 1);
+  ThreadPool pool(4);
+  for (const AggregatorKind kind : kAllRules) {
+    AggregatorOptions options;
+    options.kind = kind;
+    options.krum_honest = 12;
+    for (const ShardPolicy policy :
+         {ShardPolicy::kContiguousRange, ShardPolicy::kHashed}) {
+      for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+        const ShardPlan plan(num_items, shards, policy);
+        for (ThreadPool* step_pool : {static_cast<ThreadPool*>(nullptr),
+                                      &pool}) {
+          ExpectSameBytes(
+              DirectStepDelta(plan, updates, dim, options, step_pool),
+              ShardedAggregate(plan, updates, dim, options, step_pool),
+              CaseLabel(kind, plan, step_pool));
+        }
+      }
+    }
+  }
+}
+
+TEST(ServerStepTest, DirectPathMatchesTheStagedWireOnEdgeRounds) {
+  const std::size_t dim = 5;
+  ThreadPool pool(4);
+  // Krum when every client id collides: the winner is named by its round
+  // sequence number on both paths.
+  auto colliding = RandomUpdates(9, 40, dim, 8, 6);
+  for (ClientUpdate& update : colliding) update.user = 3;
+  // Shards that own no uploaded row: every upload stays inside [0, 10), so
+  // shards 1..3 of a 4-way contiguous plan over 40 items get nothing; a
+  // 5-item catalogue over 8 shards leaves some shards with no rows at all.
+  const auto low_rows = RandomUpdates(7, 10, dim, 6, 7);
+  const auto tiny = RandomUpdates(6, 5, dim, 3, 8);
+  struct Case {
+    ShardPlan plan;
+    const std::vector<ClientUpdate>* updates;
+  };
+  const std::vector<ClientUpdate> empty;
+  const Case cases[] = {
+      {ShardPlan(40, 4, ShardPolicy::kHashed), &colliding},
+      {ShardPlan(40, 4, ShardPolicy::kContiguousRange), &low_rows},
+      {ShardPlan(5, 8, ShardPolicy::kContiguousRange), &tiny},
+      {ShardPlan(5, 8, ShardPolicy::kHashed), &tiny},
+      {ShardPlan(20, 4, ShardPolicy::kContiguousRange), &empty},
+  };
+  for (const Case& c : cases) {
+    for (const AggregatorKind kind : kAllRules) {
+      AggregatorOptions options;
+      options.kind = kind;
+      options.krum_honest = 5;
+      for (ThreadPool* step_pool : {static_cast<ThreadPool*>(nullptr),
+                                    &pool}) {
+        const std::string label = CaseLabel(kind, c.plan, step_pool) +
+                                  " uploads=" +
+                                  std::to_string(c.updates->size());
+        const SparseRoundDelta direct =
+            DirectStepDelta(c.plan, *c.updates, dim, options, step_pool);
+        ExpectSameBytes(direct,
+                        ShardedAggregate(c.plan, *c.updates, dim, options,
+                                         step_pool),
+                        label);
+        if (c.updates->empty()) {
+          EXPECT_TRUE(direct.empty()) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(ServerStepTest, UnarmedInProcessRunsAreAllocationFree) {
+  // Real operator new calls over warmed ServerStep::Run calls, pool null.
+  const std::size_t num_items = 200;
+  const std::size_t dim = 8;
+  std::vector<std::vector<ClientUpdate>> rounds;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    rounds.push_back(RandomUpdates(16, num_items, dim, 20, 100 + seed));
+  }
+  for (const ShardPolicy policy :
+       {ShardPolicy::kContiguousRange, ShardPolicy::kHashed}) {
+    for (const AggregatorKind kind : kAllRules) {
+      AggregatorOptions options;
+      options.kind = kind;
+      options.krum_honest = 12;
+      const ShardPlan plan(num_items, 4, policy);
+      MfHyperParams params;
+      params.dim = dim;
+      Rng init(9);
+      MfModel model(num_items, params, init);
+      InProcessShardTransport transport(plan, dim);
+      ServerStep step(&model, &transport, nullptr);
+      std::uint64_t round = 0;
+      for (int pass = 0; pass < 2; ++pass) {
+        for (const auto& updates : rounds) {
+          step.Run(updates, options, 0.01f, ShardRetryPolicy{}, round++);
+        }
+      }
+      const std::uint64_t before =
+          g_operator_news.load(std::memory_order_relaxed);
+      for (int pass = 0; pass < 3; ++pass) {
+        for (const auto& updates : rounds) {
+          step.Run(updates, options, 0.01f, ShardRetryPolicy{}, round++);
+        }
+      }
+      const std::uint64_t step_news =
+          g_operator_news.load(std::memory_order_relaxed) - before;
+      const std::string label =
+          std::string(AggregatorKindToString(kind)) + " " +
+          ShardPolicyToString(policy);
+      if (kind != AggregatorKind::kKrum) {
+        EXPECT_EQ(step_news, 0u) << label;
+        continue;
+      }
+      // Krum's coordinator-side KrumSelect builds its pairwise distance
+      // table on every call; the rest of the step allocates nothing.
+      std::vector<std::size_t> picks(3 * rounds.size());
+      const std::uint64_t select_before =
+          g_operator_news.load(std::memory_order_relaxed);
+      std::size_t pick = 0;
+      for (int pass = 0; pass < 3; ++pass) {
+        for (const auto& updates : rounds) {
+          picks[pick++] = KrumSelect(updates, 0, dim, options.krum_honest);
+        }
+      }
+      const std::uint64_t select_news =
+          g_operator_news.load(std::memory_order_relaxed) - select_before;
+      EXPECT_EQ(step_news, select_news) << label;
+      EXPECT_GT(select_news, 0u) << label;
+    }
+  }
+}
+
 // --- ShardedRoundEngine end to end -----------------------------------------
 
 Dataset EngineData() {
@@ -399,6 +650,36 @@ TEST(ShardedRoundEngineTest, AttackFactoryUploadsFlowThroughRoutedPath) {
               sharded_sim.model().item_factors());
 }
 
+TEST(ShardedRoundEngineTest, UnarmedRoundsWriteNoWireBytes) {
+  const Dataset data = EngineData();
+  const FedConfig config = EngineConfig();
+  Simulation sim(data, config, 0, nullptr, nullptr);
+  const ShardPlan plan(data.num_items(), 4, ShardPolicy::kHashed);
+  ShardedRoundEngine sharded(&sim.engine(), &sim.model(), &config, plan,
+                             nullptr);
+  // One staged wire round first, so the counters are shown to be live.
+  const auto updates = RandomUpdates(6, data.num_items(), config.model.dim,
+                                     5, 4);
+  sharded.server().RouteRound(updates, nullptr);
+  sharded.server()
+      .AggregateRound(config.aggregator, updates.size(), 0, nullptr)
+      .CheckOK();
+  const ShardServerStats before = sharded.server().stats();
+  ASSERT_GT(before.upload_bytes, 0u);
+  ASSERT_GT(before.delta_bytes, 0u);
+  sharded.BeginEpoch(0);
+  std::size_t rounds = 0;
+  while (sharded.HasNextRound()) {
+    sharded.RunRound();
+    ++rounds;
+  }
+  ASSERT_GT(rounds, 0u);
+  EXPECT_EQ(sharded.server().stats().rounds, before.rounds);
+  EXPECT_EQ(sharded.server().stats().upload_bytes, before.upload_bytes);
+  EXPECT_EQ(sharded.server().stats().delta_bytes, before.delta_bytes);
+  EXPECT_FALSE(sharded.merged_delta().empty());
+}
+
 TEST(ShardedRoundEngineTest, SteadyStateRoundsAreAllocationFreeOnTheWirePath) {
   SyntheticConfig data_config;
   data_config.num_users = 60;
@@ -412,25 +693,39 @@ TEST(ShardedRoundEngineTest, SteadyStateRoundsAreAllocationFreeOnTheWirePath) {
   config.rounds_per_epoch = 8;
   Simulation sim(data, config, 0, nullptr, nullptr);
   const ShardPlan plan(data.num_items(), 4, ShardPolicy::kHashed);
-  ShardedRoundEngine sharded(&sim.engine(), &sim.model(), &config, plan,
-                             nullptr);
+  // An unarmed ShardedRoundEngine takes the direct path, so whole rounds
+  // are driven here as the engine's client half plus the staged wire calls
+  // (route -> aggregate -> merge -> apply).
+  ShardServer server(plan, config.model.dim);
+  SparseRoundDelta merged;
+  RoundEngine& engine = sim.engine();
+  const auto run_epoch = [&](std::size_t epoch) {
+    engine.BeginEpoch(epoch);
+    while (engine.HasNextRound()) {
+      if (engine.RunClientHalf({}).skipped) continue;
+      const std::span<const ClientUpdate> updates = engine.live_updates();
+      server.RouteRound(updates, nullptr);
+      server
+          .AggregateRound(config.aggregator, updates.size(),
+                          /*krum_source=*/0, nullptr)
+          .CheckOK();
+      server.MergeRoundDelta(merged).CheckOK();
+      sim.model().ApplySparseGradient(merged, config.model.learning_rate);
+      engine.FinishRound();
+    }
+  };
   // Warm every buffer's high-water mark. The sharded path needs more warm
   // rounds than the single-server engine: a routed slot's capacity watermark
   // depends on which client's rows hashed to which shard, so the per-shard
   // maxima are only reached once enough distinct selections have occurred.
   std::size_t epoch = 0;
-  for (; epoch < 20; ++epoch) {
-    sharded.BeginEpoch(epoch);
-    while (sharded.HasNextRound()) sharded.RunRound();
-  }
+  for (; epoch < 20; ++epoch) run_epoch(epoch);
+  const std::uint64_t rounds_before = server.stats().rounds;
   ResetSparseAllocationCount();
-  for (; epoch < 23; ++epoch) {
-    sharded.BeginEpoch(epoch);
-    while (sharded.HasNextRound()) sharded.RunRound();
-  }
+  for (; epoch < 23; ++epoch) run_epoch(epoch);
   EXPECT_EQ(SparseAllocationCount(), 0u);
+  EXPECT_GT(server.stats().rounds, rounds_before);
 }
-
 
 TEST(ShardServerTest, DuplicateDeliveryFailsLoudly) {
   // Whole-inbox duplication (the kDuplicate wire fault) re-delivers every
