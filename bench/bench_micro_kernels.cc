@@ -1,7 +1,11 @@
 /// Micro-benchmarks (google-benchmark) of the hot kernels behind the
 /// simulation and the attack: BPR local step, full-catalog scoring, top-K
-/// selection, poisoned-gradient computation, the aggregation rules, and the
-/// shard wire's CRC-32 and FRWU decode.
+/// selection, poisoned-gradient computation, the aggregation rules, the
+/// shard wire's CRC-32 and FRWU decode, and building a client upload.
+
+#include <algorithm>
+#include <span>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -136,13 +140,18 @@ void BM_ScoreAllItems(benchmark::State& state) {
 BENCHMARK(BM_ScoreAllItems)->Arg(1682)->Arg(3706);
 
 /// The evaluator's and the attack's selection: sorted exclusion list (a
-/// user's ~100 interacted items) and a reused output buffer.
+/// user's ~100 interacted items) and a reused output buffer. Each iteration
+/// takes the next of many distinct score rows (256 at 1682 items, about 4 MB
+/// of rows at 67280), as the evaluator does user after user; one repeated
+/// row lets the branch predictor learn its comparisons.
 void BM_TopKExcludingSorted(benchmark::State& state) {
   const std::size_t items = static_cast<std::size_t>(state.range(0));
   const std::size_t k = static_cast<std::size_t>(state.range(1));
   const std::size_t excluded_count = static_cast<std::size_t>(state.range(2));
+  const std::size_t score_rows =
+      std::clamp<std::size_t>((std::size_t{1} << 20) / items, 4, 256);
   Rng rng(3);
-  std::vector<float> scores(items);
+  std::vector<float> scores(score_rows * items);
   for (auto& s : scores) s = rng.NextFloat();
   std::vector<std::uint32_t> excluded;
   for (std::size_t idx : rng.SampleWithoutReplacement(items, excluded_count)) {
@@ -150,9 +159,13 @@ void BM_TopKExcludingSorted(benchmark::State& state) {
   }
   std::sort(excluded.begin(), excluded.end());
   std::vector<std::uint32_t> out;
+  std::size_t row = 0;
   for (auto _ : state) {
-    TopKIndicesExcludingSortedInto(scores, k, excluded, out);
+    TopKIndicesExcludingSortedInto(
+        std::span<const float>(scores.data() + row * items, items), k,
+        excluded, out);
     benchmark::DoNotOptimize(out.data());
+    row = row + 1 == score_rows ? 0 : row + 1;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(items));
@@ -182,6 +195,32 @@ void BM_ClientTrainRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClientTrainRound)->Arg(30)->Arg(106);
+
+/// Builds one benign-sized upload of `rows` distinct 32-dim rows from ids
+/// that change every iteration (64 sampled id sets over ml-100k's 1682
+/// items, cycled): the id->slot inserts and lookups of a client round.
+void BM_BuildClientUpload(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kIdSets = 64;
+  Rng rng(12);
+  std::vector<std::vector<std::size_t>> id_sets(kIdSets);
+  for (auto& ids : id_sets) ids = rng.SampleWithoutReplacement(1682, rows);
+  std::vector<float> user(32, 0.25f);
+  SparseRowMatrix upload(32);
+  std::size_t set = 0;
+  for (auto _ : state) {
+    upload.Reset(32);
+    for (const std::size_t id : id_sets[set]) {
+      Axpy(0.5f, user, upload.RowMutable(id));
+    }
+    benchmark::DoNotOptimize(upload.RowAtSlot(0).data());
+    benchmark::ClobberMemory();
+    set = set + 1 == kIdSets ? 0 : set + 1;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_BuildClientUpload)->Arg(213);
 
 void BM_PoisonGradient(benchmark::State& state) {
   const std::size_t users = static_cast<std::size_t>(state.range(0));

@@ -35,17 +35,14 @@ FedRecAttack::FedRecAttack(FedRecAttackConfig config,
 void FedRecAttack::ApproximateUsers(const Matrix& item_factors,
                                     std::size_t epochs) {
   if (public_interactions_.empty()) return;  // xi = 0: nothing to learn from
-  // Eq. (19): argmin_U L_rec(U, V; D') with V frozen. TrainBprEpoch mutates
-  // only the user side when update_items is false, so a scratch copy of V
-  // guarantees const-correctness of the shared parameters.
-  Matrix v_scratch = item_factors;
+  // Eq. (19): argmin_U L_rec(U, V; D') with V frozen and read in place.
   BprTrainOptions options;
   options.learning_rate = config_.approx_lr;
   options.update_users = true;
   options.update_items = false;
   for (std::size_t e = 0; e < epochs; ++e) {
-    TrainBprEpoch(u_hat_, v_scratch, public_interactions_, public_positives_,
-                  options, rng_);
+    TrainBprUserEpoch(u_hat_, item_factors, public_interactions_,
+                      public_positives_, options, rng_, approx_order_);
   }
 }
 

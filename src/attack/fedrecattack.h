@@ -95,6 +95,8 @@ class FedRecAttack : public MaliciousCoordinator {
   /// Flattened D' for the approximation SGD.
   std::vector<Interaction> public_interactions_;
   std::vector<std::vector<std::uint32_t>> public_positives_;
+  /// Shuffle buffer of the approximation epochs, kept across rounds.
+  std::vector<std::size_t> approx_order_;
   /// Fixed item set V_i per malicious user id (keyed by id - num_benign).
   std::vector<std::vector<std::uint32_t>> item_sets_;
   std::vector<bool> item_set_ready_;

@@ -122,8 +122,26 @@ class Matrix {
 /// A benign client uploads gradient rows only for the items it touched; a
 /// malicious client uploads rows only for its selected item set V_i, so the
 /// server-visible footprint of both is identical in kind.
+///
+/// Row id -> slot lookup is one flat open-addressing table of uint32_t
+/// entries, each 0 (empty) or slot + 1; the key itself is read back from
+/// row_ids(). The capacity is a power of two at least twice the rows held,
+/// a row's home entry is the top bits of id * kSlotHashMultiplier
+/// (multiplicative hashing of the full 64-bit id), and collisions probe
+/// linearly, so RowMutable, Row and Contains are O(1) expected. The table is
+/// a high-water buffer: Clear() zeroes only the entries of the rows held.
+///
+/// Worst case: AssignPackedRows loads ids off the network, and a peer can
+/// pick ids that all share one home entry. A build whose probes exceed
+/// kProbeBudgetPerRow * rows + kProbeBudgetSlack stops hashing and instead
+/// sorts the slots by id into the table's prefix; that matrix then answers
+/// lookups by binary search and inserts in sorted order until the next
+/// Clear(). A decode therefore costs O(n log n) at worst.
 class SparseRowMatrix {
  public:
+  /// Multiplier of the row-id hash (2^64 / golden ratio, odd).
+  static constexpr std::uint64_t kSlotHashMultiplier = 0x9E3779B97F4A7C15ull;
+
   SparseRowMatrix() : cols_(0) {}
   explicit SparseRowMatrix(std::size_t cols) : cols_(cols) {}
 
@@ -155,11 +173,12 @@ class SparseRowMatrix {
 
   /// Replaces every row with `row_count` packed records, each a native-order
   /// u64 row id followed by `cols` floats (the FRWU payload layout), keeping
-  /// the records' order as row_ids(). One pass appends each id and copies its
-  /// floats in with a single copy; the id->slot lookup is then built with one
-  /// sort. Returns false, leaving the matrix empty, when an id repeats;
-  /// `duplicate` then holds the smallest repeated id. Retained capacity is
-  /// reused, so a same-shaped reload allocates nothing.
+  /// the records' order as row_ids(). One pass appends each id, copies its
+  /// floats in with a single copy and enters it in the id->slot table.
+  /// Returns false, leaving the matrix empty, when an id repeats; `duplicate`
+  /// then holds the smallest repeated id (found by a sort, on this error path
+  /// and on the probe-budget fallback only). Retained capacity is reused, so
+  /// a same-shaped reload allocates nothing.
   [[nodiscard]] bool AssignPackedRows(std::size_t cols, const char* records,
                                       std::size_t row_count,
                                       std::size_t& duplicate);
@@ -194,14 +213,35 @@ class SparseRowMatrix {
   // SparseRoundDelta's: Clear() keeps its size, so floats past
   // row_count() * cols are stale leftovers that no reader touches.
   std::vector<float> values_;
-  // Row-id -> slot map as two parallel sorted vectors. Splitting keys from
-  // slots keeps the binary-searched keys contiguous in cache; for the scales
-  // used here (kappa <= a few hundred rows) this beats any node-based map.
-  std::vector<std::size_t> lookup_rows_;   // sorted row ids
-  std::vector<std::size_t> lookup_slots_;  // slot for lookup_rows_[i]
+  // Row id -> slot table (see the class comment). Hashed: entries are 0 or
+  // slot + 1. Sorted fallback (sorted_): the first row_count() entries are
+  // the slots in ascending id order, the rest are 0.
+  std::vector<std::uint32_t> table_;
+  unsigned table_shift_ = 64;  // 64 - log2(table_.size())
+  bool sorted_ = false;
 
-  std::size_t FindSlot(std::size_t row) const;  // npos when absent
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kMinTableSize = 16;
+  // Probe budget of one AssignPackedRows table build; past it the build
+  // falls back to sorting.
+  static constexpr std::size_t kProbeBudgetPerRow = 8;
+  static constexpr std::size_t kProbeBudgetSlack = 64;
+
+  std::size_t Home(std::size_t row) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(row) * kSlotHashMultiplier) >> table_shift_);
+  }
+  std::span<float> MutableRowAt(std::size_t slot) {
+    return std::span<float>(values_.data() + slot * cols_, cols_);
+  }
+  std::size_t FindSlot(std::size_t row) const;  // kNpos when absent
+  // First sorted-prefix position whose id is >= row (sorted_ only).
+  std::size_t SortedPosition(std::size_t row) const;
+  std::span<float> SortedRowMutable(std::size_t row);
+  std::size_t AppendZeroRow(std::size_t row);  // returns the new slot
+  void ResizeTable(std::size_t size);          // keeps the entries
+  void Rehash(std::size_t size);               // hashed mode, all rows
+  void ZeroEntry(std::size_t slot);            // hashed mode
 };
 
 /// The server's aggregate of one federated round, restricted to the item rows

@@ -256,9 +256,10 @@ void FillRowIndex(std::span<const ClientUpdate> updates,
 
 }  // namespace
 
+// fedrec:hot — once per Krum round; every buffer is retained scratch.
 std::size_t KrumSelect(std::span<const ClientUpdate> updates,
                        std::size_t num_items, std::size_t dim,
-                       std::size_t honest) {
+                       std::size_t honest, KrumScratch& scratch) {
   (void)num_items;
   FEDREC_CHECK(!updates.empty());
   const std::size_t n = updates.size();
@@ -266,53 +267,62 @@ std::size_t KrumSelect(std::span<const ClientUpdate> updates,
   if (honest == 0 || honest > n) {
     honest = static_cast<std::size_t>(std::ceil(0.7 * static_cast<double>(n)));
   }
-  // Per-update tables: rows sorted by id with direct value pointers, one
-  // double row norm each, and the total squared norm. With these,
+  // Per-update tables: rows sorted by id with direct value pointers, and the
+  // total squared norm. With these,
   //   ||a - b||^2 = ||a||^2 + ||b||^2 - 2 <a, b>
   // over the sparse union, so each pair costs O(overlap * dim) for the shared
   // dot products plus an O(rows) merge — absent rows are covered by the
   // precomputed totals instead of being re-reduced for every pair.
-  struct UpdateTable {
-    std::vector<std::size_t> rows;   // sorted row ids
-    std::vector<const float*> data;  // values, parallel to rows
-    double total_norm2 = 0.0;
-  };
-  std::vector<UpdateTable> tables(n);
+  std::size_t total_rows = 0;
+  for (const ClientUpdate& update : updates) {
+    total_rows += update.item_gradients.row_count();
+  }
+  scratch.rows.resize(total_rows);  // fedrec:alloc-ok — retained scratch
+  scratch.offsets.resize(n + 1);    // fedrec:alloc-ok — retained scratch
+  scratch.norm2.resize(n);          // fedrec:alloc-ok — retained scratch
+  std::size_t at = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const SparseRowMatrix& upload = updates[i].item_gradients;
     const auto& row_ids = upload.row_ids();
-    std::vector<std::size_t> order(row_ids.size());
-    for (std::size_t slot = 0; slot < order.size(); ++slot) order[slot] = slot;
-    std::sort(order.begin(), order.end(),
-              [&row_ids](std::size_t a, std::size_t b) {
-                return row_ids[a] < row_ids[b];
-              });
-    UpdateTable& table = tables[i];
-    table.rows.reserve(order.size());
-    table.data.reserve(order.size());
-    for (std::size_t slot : order) {
-      const auto row = upload.RowAtSlot(slot);
-      table.rows.push_back(row_ids[slot]);
-      table.data.push_back(row.data());
-      // Coordinate-wise double accumulation: the norm expansion below
-      // cancels catastrophically for near-identical updates, so float row
-      // norms would drown the true distances of clustered clients in noise.
-      double norm2 = 0.0;
-      for (const float v : row) norm2 += static_cast<double>(v) * v;
-      table.total_norm2 += norm2;
+    const auto begin = scratch.rows.begin() + static_cast<std::ptrdiff_t>(at);
+    const auto end = begin + static_cast<std::ptrdiff_t>(row_ids.size());
+    for (std::size_t slot = 0; slot < row_ids.size(); ++slot) {
+      begin[static_cast<std::ptrdiff_t>(slot)] = {
+          row_ids[slot], upload.RowAtSlot(slot).data()};
     }
+    std::sort(begin, end, [](const RowContribution& a,
+                             const RowContribution& b) { return a.row < b.row; });
+    // Coordinate-wise double accumulation: the norm expansion below cancels
+    // catastrophically for near-identical updates, so float row norms would
+    // drown the true distances of clustered clients in noise.
+    double total_norm2 = 0.0;
+    for (auto it = begin; it != end; ++it) {
+      double norm2 = 0.0;
+      for (std::size_t d = 0; d < upload.cols(); ++d) {
+        norm2 += static_cast<double>(it->data[d]) * it->data[d];
+      }
+      total_norm2 += norm2;
+    }
+    scratch.offsets[i] = at;
+    scratch.norm2[i] = total_norm2;
+    at += row_ids.size();
   }
-  auto distance2 = [&](const UpdateTable& a, const UpdateTable& b) {
+  scratch.offsets[n] = at;
+  const RowContribution* rows = scratch.rows.data();
+  auto distance2 = [&](std::size_t a, std::size_t b) {
     double cross = 0.0;
-    std::size_t ia = 0, ib = 0;
-    while (ia < a.rows.size() && ib < b.rows.size()) {
-      if (a.rows[ia] < b.rows[ib]) {
+    std::size_t ia = scratch.offsets[a];
+    std::size_t ib = scratch.offsets[b];
+    const std::size_t a_end = scratch.offsets[a + 1];
+    const std::size_t b_end = scratch.offsets[b + 1];
+    while (ia < a_end && ib < b_end) {
+      if (rows[ia].row < rows[ib].row) {
         ++ia;
-      } else if (a.rows[ia] > b.rows[ib]) {
+      } else if (rows[ia].row > rows[ib].row) {
         ++ib;
       } else {
-        const float* ra = a.data[ia];
-        const float* rb = b.data[ib];
+        const float* ra = rows[ia].data;
+        const float* rb = rows[ib].data;
         for (std::size_t d = 0; d < dim; ++d) {
           cross += static_cast<double>(ra[d]) * rb[d];
         }
@@ -320,13 +330,14 @@ std::size_t KrumSelect(std::span<const ClientUpdate> updates,
         ++ib;
       }
     }
-    return std::max(0.0, a.total_norm2 + b.total_norm2 - 2.0 * cross);
+    return std::max(0.0, scratch.norm2[a] + scratch.norm2[b] - 2.0 * cross);
   };
 
-  std::vector<std::vector<double>> dist(n, std::vector<double>(n, 0.0));
+  std::vector<double>& dist = scratch.distances;
+  dist.resize(n * n);  // fedrec:alloc-ok — retained scratch
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      dist[i][j] = dist[j][i] = distance2(tables[i], tables[j]);
+      dist[i * n + j] = dist[j * n + i] = distance2(i, j);
     }
   }
   // Score: sum of the closest (honest - 2) neighbour distances.
@@ -334,11 +345,12 @@ std::size_t KrumSelect(std::span<const ClientUpdate> updates,
       honest >= 2 ? std::min(honest - 2, n - 1) : std::min<std::size_t>(1, n - 1);
   std::size_t best = 0;
   double best_score = std::numeric_limits<double>::infinity();
-  std::vector<double> row;
+  std::vector<double>& row = scratch.scores;
+  row.resize(n - 1);  // fedrec:alloc-ok — retained scratch
   for (std::size_t i = 0; i < n; ++i) {
-    row.clear();
+    std::size_t k = 0;
     for (std::size_t j = 0; j < n; ++j) {
-      if (j != i) row.push_back(dist[i][j]);
+      if (j != i) row[k++] = dist[i * n + j];
     }
     std::sort(row.begin(), row.end());
     double score = 0.0;
@@ -363,7 +375,8 @@ void AggregateUpdates(std::span<const ClientUpdate> updates, std::size_t dim,
   if (options.kind == AggregatorKind::kKrum && !updates.empty()) {
     // Krum is a whole-round selection, not a per-row reduction: only the
     // selected upload is indexed (its emit loop is O(kappa * dim)).
-    const std::size_t pick = KrumSelect(updates, 0, dim, options.krum_honest);
+    const std::size_t pick =
+        KrumSelect(updates, 0, dim, options.krum_honest, workspace.krum);
     FillRowIndex(updates.subspan(pick, 1), workspace);
   } else {
     FillRowIndex(updates, workspace);

@@ -49,6 +49,20 @@ struct RowContribution {
   const float* data;
 };
 
+/// Retained scratch of KrumSelect, so a warm selection allocates nothing.
+struct KrumScratch {
+  /// Every update's rows with value pointers; update i's run is
+  /// [offsets[i], offsets[i + 1]), sorted by row id.
+  std::vector<RowContribution> rows;
+  std::vector<std::size_t> offsets;
+  /// Total squared norm of each update.
+  std::vector<double> norm2;
+  /// n x n pairwise squared distances, row-major.
+  std::vector<double> distances;
+  /// One update's distances to the others, sorted for its score.
+  std::vector<double> scores;
+};
+
 /// Reusable server-side aggregation scratch. All vectors keep their capacity
 /// across rounds, so steady-state aggregation performs no allocations.
 struct AggregationWorkspace {
@@ -80,6 +94,8 @@ struct AggregationWorkspace {
     std::vector<float> clipped;
   };
   std::vector<ShardScratch> shards;
+  /// Krum's whole-round selection scratch.
+  KrumScratch krum;
 };
 
 /// Stably groups `workspace.row_index` by row id in place (LSD radix passes
@@ -130,12 +146,13 @@ Matrix AggregateUpdates(std::span<const ClientUpdate> updates,
 
 /// Krum selection: index into `updates` of the client whose upload minimizes
 /// the summed squared distance to its closest (honest - 2) neighbours,
-/// treating absent rows as zeros. Exposed for tests, the detector bench and
-/// the sharded coordinator (Krum is a whole-round decision, so a sharded
-/// server selects once globally and broadcasts the winner to its shards).
+/// treating absent rows as zeros. Exposed for tests and the sharded
+/// coordinator (Krum is a whole-round decision, so a sharded server selects
+/// once globally and broadcasts the winner to its shards). Allocates nothing
+/// once `scratch` has seen a round as large.
 std::size_t KrumSelect(std::span<const ClientUpdate> updates,
                        std::size_t num_items, std::size_t dim,
-                       std::size_t honest);
+                       std::size_t honest, KrumScratch& scratch);
 
 }  // namespace fedrec
 

@@ -1,6 +1,7 @@
 #include "model/bpr.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/math.h"
 
@@ -129,20 +130,26 @@ LocalBprGradients ComputeLocalBprGradients(
   return out;
 }
 
-double TrainBprEpoch(Matrix& user_factors, Matrix& item_factors,
-                     const std::vector<Interaction>& interactions,
-                     const std::vector<std::vector<std::uint32_t>>& user_positives,
-                     const BprTrainOptions& options, Rng& rng) {
+namespace {
+
+/// One BPR-SGD epoch. `mutable_items` is `item_factors` itself when V is
+/// trained and null when it is frozen.
+double BprEpoch(Matrix& user_factors, const Matrix& item_factors,
+                Matrix* mutable_items,
+                const std::vector<Interaction>& interactions,
+                const std::vector<std::vector<std::uint32_t>>& user_positives,
+                const BprTrainOptions& options, Rng& rng,
+                std::vector<std::size_t>& order) {
   FEDREC_CHECK_EQ(user_factors.cols(), item_factors.cols());
   if (interactions.empty()) return 0.0;
-  std::vector<std::size_t> order(interactions.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  order.resize(interactions.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
   rng.Shuffle(order);
 
   const std::size_t num_items = item_factors.rows();
   double total_loss = 0.0;
   std::size_t total_pairs = 0;
-  // Reused across every pair of the epoch; see the update_items branch.
+  // Reused across every pair of the epoch; see the mutable_items branch.
   std::vector<float> u_copy;
   for (std::size_t idx : order) {
     const Interaction& tuple = interactions[idx];
@@ -171,11 +178,11 @@ double TrainBprEpoch(Matrix& user_factors, Matrix& item_factors,
         Axpy(lr * c, v_neg, u);
         if (options.l2_reg > 0.0f) Scale(1.0f - lr * options.l2_reg, u);
       }
-      if (options.update_items) {
+      if (mutable_items != nullptr) {
         u_copy.assign(user_row.begin(), user_row.end());
         std::span<const float> u(u_copy);
-        std::span<float> vp = item_factors.Row(tuple.item);
-        std::span<float> vn = item_factors.Row(neg);
+        std::span<float> vp = mutable_items->Row(tuple.item);
+        std::span<float> vn = mutable_items->Row(neg);
         Axpy(-lr * c, u, vp);
         Axpy(lr * c, u, vn);
         if (options.l2_reg > 0.0f) {
@@ -186,6 +193,28 @@ double TrainBprEpoch(Matrix& user_factors, Matrix& item_factors,
     }
   }
   return total_pairs == 0 ? 0.0 : total_loss / static_cast<double>(total_pairs);
+}
+
+}  // namespace
+
+double TrainBprEpoch(Matrix& user_factors, Matrix& item_factors,
+                     const std::vector<Interaction>& interactions,
+                     const std::vector<std::vector<std::uint32_t>>& user_positives,
+                     const BprTrainOptions& options, Rng& rng) {
+  std::vector<std::size_t> order;
+  return BprEpoch(user_factors, item_factors,
+                  options.update_items ? &item_factors : nullptr, interactions,
+                  user_positives, options, rng, order);
+}
+
+double TrainBprUserEpoch(Matrix& user_factors, const Matrix& item_factors,
+                         const std::vector<Interaction>& interactions,
+                         const std::vector<std::vector<std::uint32_t>>& user_positives,
+                         const BprTrainOptions& options, Rng& rng,
+                         std::vector<std::size_t>& order) {
+  FEDREC_CHECK(!options.update_items) << "TrainBprUserEpoch freezes V";
+  return BprEpoch(user_factors, item_factors, nullptr, interactions,
+                  user_positives, options, rng, order);
 }
 
 double TrainBpr(Matrix& user_factors, Matrix& item_factors, const Dataset& data,

@@ -94,6 +94,17 @@ double TrainBprEpoch(Matrix& user_factors, Matrix& item_factors,
                      const std::vector<std::vector<std::uint32_t>>& user_positives,
                      const BprTrainOptions& options, Rng& rng);
 
+/// User-only form of TrainBprEpoch for a frozen V (options.update_items must
+/// be false): the attacker's Eq. (19) step reads the shared item matrix in
+/// place instead of copying it. `order` is the caller's shuffle buffer,
+/// refilled every call with its capacity kept. Same rng draws and the same
+/// user factors as TrainBprEpoch with update_items = false.
+double TrainBprUserEpoch(Matrix& user_factors, const Matrix& item_factors,
+                         const std::vector<Interaction>& interactions,
+                         const std::vector<std::vector<std::uint32_t>>& user_positives,
+                         const BprTrainOptions& options, Rng& rng,
+                         std::vector<std::size_t>& order);
+
 /// Convenience: builds the per-user positive lists from a dataset and runs
 /// `epochs` epochs. Returns the final epoch's mean loss.
 double TrainBpr(Matrix& user_factors, Matrix& item_factors, const Dataset& data,

@@ -115,7 +115,7 @@ std::uint64_t ServerStep::Run(std::span<const ClientUpdate> updates,
   std::uint64_t krum_source = 0;
   if (options.kind == AggregatorKind::kKrum && !updates.empty()) {
     krum_source = KrumSelect(updates, /*num_items=*/0, model_->dim(),
-                             options.krum_honest);
+                             options.krum_honest, krum_scratch_);
   }
   std::uint64_t backoff = 0;
   if (!transport_->fallible()) {

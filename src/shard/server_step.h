@@ -8,6 +8,7 @@
 #include "common/fault.h"
 #include "common/matrix.h"
 #include "common/threadpool.h"
+#include "fed/aggregator.h"
 #include "fed/client.h"
 #include "fed/config.h"
 #include "model/mf_model.h"
@@ -82,6 +83,7 @@ class ServerStep {
   ShardTransport* transport_;
   ThreadPool* pool_;
   SparseRoundDelta merged_;
+  KrumScratch krum_scratch_;  ///< coordinator-side Krum pick, reused
   FaultStats wire_stats_;
   std::vector<ShardRoundOutcome> outcomes_;  ///< per-shard, reused
   // Observe-only: fetched once from the global registry.

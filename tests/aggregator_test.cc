@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -235,14 +236,16 @@ TEST(KrumTest, SelectsClusterMemberNotOutlier) {
   updates.push_back(MakeUpdate(1, 1, {{0, 1.01f}}));
   updates.push_back(MakeUpdate(2, 1, {{0, 0.99f}}));
   updates.push_back(MakeUpdate(3, 1, {{0, 50.0f}}));  // attacker
-  const std::size_t pick = KrumSelect(updates, 1, 1, /*honest=*/3);
+  KrumScratch scratch;
+  const std::size_t pick = KrumSelect(updates, 1, 1, /*honest=*/3, scratch);
   EXPECT_NE(pick, 3u);
 }
 
 TEST(KrumTest, SingleUpdateSelected) {
   std::vector<ClientUpdate> updates;
   updates.push_back(MakeUpdate(0, 1, {{0, 5.0f}}));
-  EXPECT_EQ(KrumSelect(updates, 1, 1, 1), 0u);
+  KrumScratch scratch;
+  EXPECT_EQ(KrumSelect(updates, 1, 1, 1, scratch), 0u);
 }
 
 TEST(KrumTest, DisjointRowsUseZeroPadding) {
@@ -252,7 +255,8 @@ TEST(KrumTest, DisjointRowsUseZeroPadding) {
   updates.push_back(MakeUpdate(0, 1, {{0, 0.1f}}));
   updates.push_back(MakeUpdate(1, 1, {{0, 0.1f}}));
   updates.push_back(MakeUpdate(2, 1, {{1, 30.0f}}));
-  const std::size_t pick = KrumSelect(updates, 2, 1, 3);
+  KrumScratch scratch;
+  const std::size_t pick = KrumSelect(updates, 2, 1, 3, scratch);
   EXPECT_NE(pick, 2u);
 }
 
@@ -446,9 +450,13 @@ TEST(AggregatorBitIdentityTest, ColumnNetworkMatchesSortedColumnReference) {
 
 TEST(KrumTest, NormTableRewriteAgreesWithDirectDistances) {
   // KrumSelect now expands ||a-b||^2 via precomputed row-norm tables; it must
-  // pick the same client as the direct per-pair reduction over the row union.
-  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    const auto updates = RandomUpdates(12, 25, 6, 8, seed);
+  // pick the same client as the direct per-pair reduction over the row union,
+  // also on scratch reused across rounds of different sizes.
+  KrumScratch scratch;
+  const std::pair<std::uint64_t, std::size_t> rounds[] = {
+      {1, 12}, {2, 12}, {3, 12}, {4, 12}, {5, 9}, {6, 16}};
+  for (const auto& [seed, clients] : rounds) {
+    const auto updates = RandomUpdates(clients, 25, 6, 8, seed);
     const std::size_t dim = 6;
     const std::size_t n = updates.size();
     auto direct_distance2 = [&](const ClientUpdate& a, const ClientUpdate& b) {
@@ -499,7 +507,8 @@ TEST(KrumTest, NormTableRewriteAgreesWithDirectDistances) {
         best = i;
       }
     }
-    EXPECT_EQ(KrumSelect(updates, 25, dim, honest), best) << "seed=" << seed;
+    EXPECT_EQ(KrumSelect(updates, 25, dim, honest, scratch), best)
+        << "seed=" << seed;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/math.h"
+#include "support/alloc_counter.h"
 
 namespace fedrec {
 namespace {
@@ -184,9 +185,11 @@ TEST(ClientTest, TrainRoundIntoSteadyStateIsAllocationFree) {
   ClientUpdate slot;
   client.TrainRoundInto(items, config, slot);  // warm the slot's buffers
   ResetSparseAllocationCount();
+  const std::uint64_t news_before = test_support::OperatorNewCount();
   for (int round = 0; round < 20; ++round) {
     client.TrainRoundInto(items, config, slot);
   }
+  EXPECT_EQ(test_support::OperatorNewCount() - news_before, 0u);
   EXPECT_EQ(SparseAllocationCount(), 0u);
 }
 

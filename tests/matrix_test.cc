@@ -1,10 +1,14 @@
 #include "common/matrix.h"
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/math.h"
+#include "support/alloc_counter.h"
 
 namespace fedrec {
 namespace {
@@ -194,6 +198,210 @@ TEST(SparseRowMatrixTest, ResetKeepsCapacityAndChangesCols) {
   EXPECT_EQ(s.RowMutable(4).size(), 5u);
 }
 
+/// The `t`-th row id whose hash is t itself: every such id with t below the
+/// table size shares home entry 0, at any table size.
+std::size_t CollidingRowId(std::uint64_t t) {
+  std::uint64_t inverse = SparseRowMatrix::kSlotHashMultiplier;
+  for (int i = 0; i < 5; ++i) {
+    inverse *= 2 - SparseRowMatrix::kSlotHashMultiplier * inverse;
+  }
+  return static_cast<std::size_t>(inverse * t);
+}
+
+/// Reference model of a SparseRowMatrix: rows by id plus insertion order.
+struct ReferenceRows {
+  std::size_t cols = 0;
+  std::map<std::size_t, std::vector<float>> rows;
+  std::vector<std::size_t> order;
+};
+
+void ExpectMatchesReference(const SparseRowMatrix& s,
+                            const ReferenceRows& ref) {
+  ASSERT_EQ(s.cols(), ref.cols);
+  ASSERT_EQ(s.row_ids(), ref.order);
+  for (std::size_t slot = 0; slot < ref.order.size(); ++slot) {
+    const std::size_t id = ref.order[slot];
+    ASSERT_TRUE(s.Contains(id)) << id;
+    const auto row = s.Row(id);
+    ASSERT_EQ(row.data(), s.RowAtSlot(slot).data()) << id;
+    const std::vector<float>& expected = ref.rows.at(id);
+    for (std::size_t d = 0; d < ref.cols; ++d) ASSERT_EQ(row[d], expected[d]);
+  }
+}
+
+/// FRWU payload records for `ids`, values drawn from `rng`.
+std::vector<char> PackRecords(const std::vector<std::size_t>& ids,
+                              std::size_t cols, Rng& rng,
+                              ReferenceRows* ref) {
+  std::vector<char> records(ids.size() * (8 + cols * sizeof(float)));
+  char* at = records.data();
+  for (const std::size_t id : ids) {
+    const std::uint64_t wire_id = id;
+    std::memcpy(at, &wire_id, 8);
+    at += 8;
+    std::vector<float> values(cols);
+    for (float& v : values) v = static_cast<float>(rng.NextGaussian(0.0, 1.0));
+    std::memcpy(at, values.data(), cols * sizeof(float));
+    at += cols * sizeof(float);
+    if (ref != nullptr && ref->rows.count(id) == 0) {
+      ref->rows[id] = values;
+      ref->order.push_back(id);
+    }
+  }
+  return records;
+}
+
+TEST(SparseRowMatrixTest, RandomOperationsMatchAMapReference) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    auto draw_id = [&rng]() -> std::size_t {
+      switch (rng.NextBounded(4)) {
+        case 0:
+          return rng.NextBounded(64);  // dense small ids: many repeats
+        case 1:
+          return rng.NextBounded(100000);
+        case 2:
+          return (std::size_t{1} << 32) + rng.NextBounded(64);  // >= 2^32
+        default:
+          return CollidingRowId(rng.NextBounded(96));  // one home entry
+      }
+    };
+    SparseRowMatrix s(3);
+    ReferenceRows ref;
+    ref.cols = 3;
+    for (int op = 0; op < 400; ++op) {
+      const std::uint64_t kind = rng.NextBounded(100);
+      if (kind < 55) {  // RowMutable, new or existing
+        const std::size_t id = draw_id();
+        const auto row = s.RowMutable(id);
+        ASSERT_EQ(row.size(), ref.cols);
+        if (ref.rows.count(id) == 0) {
+          for (float v : row) ASSERT_EQ(v, 0.0f) << "new row " << id;
+          ref.rows[id].assign(ref.cols, 0.0f);
+          ref.order.push_back(id);
+        }
+        const std::size_t d = rng.NextBounded(ref.cols);
+        row[d] += 1.0f + static_cast<float>(op);
+        ref.rows[id][d] += 1.0f + static_cast<float>(op);
+      } else if (kind < 80) {  // lookups, mostly of absent ids
+        const std::size_t id = draw_id();
+        ASSERT_EQ(s.Contains(id), ref.rows.count(id) == 1) << id;
+        if (ref.rows.count(id) == 1) {
+          ASSERT_EQ(s.Row(id)[0], ref.rows[id][0]);
+        }
+      } else if (kind < 86) {  // Clear or Reset to a new shape
+        const std::size_t cols = 1 + rng.NextBounded(8);
+        if (kind < 83) {
+          s.Clear();
+        } else {
+          s.Reset(cols);
+          ref.cols = cols;
+        }
+        ref.rows.clear();
+        ref.order.clear();
+      } else {  // AssignPackedRows, maybe hostile, maybe with repeats
+        const std::size_t cols = 1 + rng.NextBounded(8);
+        const bool colliding = rng.NextBounded(3) == 0;
+        const std::size_t count = rng.NextBounded(colliding ? 160 : 80);
+        std::vector<std::size_t> ids;
+        std::map<std::size_t, int> seen;
+        for (std::size_t i = 0; i < count; ++i) {
+          const std::size_t id = colliding ? CollidingRowId(rng.NextBounded(400))
+                                           : draw_id();
+          ids.push_back(id);
+          ++seen[id];
+        }
+        std::size_t smallest_repeat = 0;
+        bool repeated = false;
+        for (const auto& [id, n] : seen) {
+          if (n > 1) {
+            smallest_repeat = id;
+            repeated = true;
+            break;
+          }
+        }
+        ReferenceRows loaded;
+        loaded.cols = cols;
+        const std::vector<char> records = PackRecords(ids, cols, rng, &loaded);
+        std::size_t duplicate = 0;
+        const bool ok =
+            s.AssignPackedRows(cols, records.data(), ids.size(), duplicate);
+        ASSERT_EQ(ok, !repeated) << "seed " << seed << " op " << op;
+        ref.cols = cols;
+        if (ok) {
+          ref = loaded;
+        } else {
+          EXPECT_EQ(duplicate, smallest_repeat);
+          EXPECT_TRUE(s.empty());
+          ref.rows.clear();
+          ref.order.clear();
+        }
+      }
+      if (op % 16 == 0) ExpectMatchesReference(s, ref);
+    }
+    ExpectMatchesReference(s, ref);
+  }
+}
+
+TEST(SparseRowMatrixTest, HostileLoadFallsBackAndStaysUsable) {
+  // 200 ids on one home entry blow the probe budget; the matrix then serves
+  // lookups and inserts from the sorted fallback, and a Clear() hands it back
+  // to hashing with a clean table.
+  std::vector<std::size_t> ids;
+  for (std::uint64_t t = 200; t > 0; --t) ids.push_back(CollidingRowId(t));
+  Rng rng(3);
+  ReferenceRows ref;
+  ref.cols = 2;
+  const std::vector<char> records = PackRecords(ids, 2, rng, &ref);
+  SparseRowMatrix s;
+  std::size_t duplicate = 0;
+  ASSERT_TRUE(s.AssignPackedRows(2, records.data(), ids.size(), duplicate));
+  ExpectMatchesReference(s, ref);
+  EXPECT_FALSE(s.Contains(CollidingRowId(0)));
+  EXPECT_FALSE(s.Contains(CollidingRowId(201)));
+  for (const std::size_t id : {CollidingRowId(0), CollidingRowId(500),
+                               std::size_t{7}, CollidingRowId(100)}) {
+    if (ref.rows.count(id) == 0) {
+      ref.rows[id].assign(2, 0.0f);
+      ref.order.push_back(id);
+    }
+    s.RowMutable(id)[1] += 2.0f;
+    ref.rows[id][1] += 2.0f;
+  }
+  ExpectMatchesReference(s, ref);
+  s.Clear();
+  EXPECT_FALSE(s.Contains(CollidingRowId(100)));
+  s.RowMutable(5)[0] = 1.0f;
+  s.RowMutable(CollidingRowId(3))[0] = 2.0f;
+  EXPECT_EQ(s.row_ids(),
+            (std::vector<std::size_t>{5, CollidingRowId(3)}));
+  EXPECT_EQ(s.Row(5)[0], 1.0f);
+  EXPECT_FALSE(s.Contains(CollidingRowId(4)));
+}
+
+TEST(SparseRowMatrixTest, AssignPackedRowsReportsTheSmallestRepeat) {
+  // 9 repeats before 4 in load order; both in a hashable and a hostile load.
+  for (const bool colliding : {false, true}) {
+    auto id = [colliding](std::uint64_t t) {
+      return colliding ? CollidingRowId(t) : static_cast<std::size_t>(t);
+    };
+    std::vector<std::size_t> ids;
+    for (std::uint64_t t = 1; t <= 120; ++t) ids.push_back(id(t));
+    ids.push_back(id(9));
+    ids.push_back(id(4));
+    Rng rng(5);
+    const std::vector<char> records = PackRecords(ids, 1, rng, nullptr);
+    SparseRowMatrix s(1);
+    s.RowMutable(77);
+    std::size_t duplicate = 0;
+    EXPECT_FALSE(s.AssignPackedRows(1, records.data(), ids.size(), duplicate));
+    EXPECT_EQ(duplicate, std::min(id(9), id(4))) << colliding;
+    EXPECT_TRUE(s.empty());
+    EXPECT_FALSE(s.Contains(77));
+    EXPECT_FALSE(s.Contains(id(9)));
+  }
+}
+
 TEST(SparseAllocationCounterTest, RowMatrixGrowthCountedReuseFree) {
   SparseRowMatrix s(4);
   ResetSparseAllocationCount();
@@ -203,8 +411,10 @@ TEST(SparseAllocationCounterTest, RowMatrixGrowthCountedReuseFree) {
   // Same-shaped refill after Reset: served entirely from retained capacity.
   s.Reset(4);
   ResetSparseAllocationCount();
+  const std::uint64_t news_before = test_support::OperatorNewCount();
   s.RowMutable(7)[0] = 3.0f;
   s.RowMutable(2)[0] = 4.0f;
+  EXPECT_EQ(test_support::OperatorNewCount() - news_before, 0u);
   EXPECT_EQ(SparseAllocationCount(), 0u);
 }
 

@@ -1,9 +1,6 @@
 #include "shard/sharded_round_engine.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <set>
 #include <vector>
 
@@ -20,67 +17,7 @@
 #include "shard/shard_server.h"
 #include "shard/transport.h"
 #include "shard/wire.h"
-
-// Every operator new in this binary is counted, so an allocation-free claim
-// below means zero real heap allocations, not zero hooked container growths.
-namespace {
-std::atomic<std::uint64_t> g_operator_news{0};
-
-void* CountedAlloc(std::size_t size) {
-  g_operator_news.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
-  g_operator_news.fetch_add(1, std::memory_order_relaxed);
-  const auto alignment = static_cast<std::size_t>(align);
-  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
-  return std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded);
-}
-
-// Out of line: GCC flags a free() inlined into a caller of operator new
-// (-Wmismatched-new-delete), although both sides here are malloc-backed.
-[[gnu::noinline]] void CountedFree(void* p) { std::free(p); }
-
-void* CountedAllocOrThrow(std::size_t size) {
-  void* p = CountedAlloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* CountedAlignedAllocOrThrow(std::size_t size, std::align_val_t align) {
-  void* p = CountedAlignedAlloc(size, align);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAllocOrThrow(size); }
-void* operator new[](std::size_t size) { return CountedAllocOrThrow(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  return CountedAlignedAllocOrThrow(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return CountedAlignedAllocOrThrow(size, align);
-}
-void operator delete(void* p) noexcept { CountedFree(p); }
-void operator delete[](void* p) noexcept { CountedFree(p); }
-void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
-void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
-void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  CountedFree(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  CountedFree(p);
-}
+#include "support/alloc_counter.h"
 
 namespace fedrec {
 namespace {
@@ -162,7 +99,8 @@ SparseRoundDelta ShardedAggregate(const ShardPlan& plan,
   // Krum's winner is broadcast as its round sequence number (= index).
   std::uint64_t krum_source = 0;
   if (options.kind == AggregatorKind::kKrum && !updates.empty()) {
-    krum_source = KrumSelect(updates, 0, dim, options.krum_honest);
+    KrumScratch scratch;
+    krum_source = KrumSelect(updates, 0, dim, options.krum_honest, scratch);
   }
   Status status =
       server.AggregateRound(options, updates.size(), krum_source, pool);
@@ -479,37 +417,15 @@ TEST(ServerStepTest, UnarmedInProcessRunsAreAllocationFree) {
           step.Run(updates, options, 0.01f, ShardRetryPolicy{}, round++);
         }
       }
-      const std::uint64_t before =
-          g_operator_news.load(std::memory_order_relaxed);
+      const std::uint64_t before = test_support::OperatorNewCount();
       for (int pass = 0; pass < 3; ++pass) {
         for (const auto& updates : rounds) {
           step.Run(updates, options, 0.01f, ShardRetryPolicy{}, round++);
         }
       }
-      const std::uint64_t step_news =
-          g_operator_news.load(std::memory_order_relaxed) - before;
-      const std::string label =
-          std::string(AggregatorKindToString(kind)) + " " +
-          ShardPolicyToString(policy);
-      if (kind != AggregatorKind::kKrum) {
-        EXPECT_EQ(step_news, 0u) << label;
-        continue;
-      }
-      // Krum's coordinator-side KrumSelect builds its pairwise distance
-      // table on every call; the rest of the step allocates nothing.
-      std::vector<std::size_t> picks(3 * rounds.size());
-      const std::uint64_t select_before =
-          g_operator_news.load(std::memory_order_relaxed);
-      std::size_t pick = 0;
-      for (int pass = 0; pass < 3; ++pass) {
-        for (const auto& updates : rounds) {
-          picks[pick++] = KrumSelect(updates, 0, dim, options.krum_honest);
-        }
-      }
-      const std::uint64_t select_news =
-          g_operator_news.load(std::memory_order_relaxed) - select_before;
-      EXPECT_EQ(step_news, select_news) << label;
-      EXPECT_GT(select_news, 0u) << label;
+      EXPECT_EQ(test_support::OperatorNewCount() - before, 0u)
+          << AggregatorKindToString(kind) << " "
+          << ShardPolicyToString(policy);
     }
   }
 }

@@ -1,6 +1,9 @@
 #include "shard/wire.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -282,6 +285,104 @@ TEST(WireFailureTest, DuplicateUploadRowFails) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
   EXPECT_NE(result.status().message().find("duplicate"), std::string::npos);
+}
+
+/// A sealed FRWU message around a hand-built payload of `rows` records.
+std::string SealUpload(std::uint64_t source, std::size_t cols,
+                       std::size_t rows, const BinaryWriter& payload) {
+  BinaryWriter writer;
+  writer.WriteU32(0x55575246);  // "FRWU"
+  writer.WriteU32(2);
+  writer.WriteU64(source);
+  writer.WriteU64(cols);
+  writer.WriteU64(rows);
+  writer.WriteBytes(payload.buffer().data(), payload.buffer().size());
+  writer.WriteU32(
+      Crc32(0, writer.buffer().data() + 8, writer.buffer().size() - 8));
+  return writer.buffer();
+}
+
+/// The `t`-th row id whose hash is t itself: every such id with t below the
+/// table size shares home entry 0 of the decoder's id->slot table.
+std::size_t CollidingRowId(std::uint64_t t) {
+  std::uint64_t inverse = SparseRowMatrix::kSlotHashMultiplier;
+  for (int i = 0; i < 5; ++i) {
+    inverse *= 2 - SparseRowMatrix::kSlotHashMultiplier * inverse;
+  }
+  return static_cast<std::size_t>(inverse * t);
+}
+
+TEST(WireHostileIdsTest, OneHomeEntryUploadDecodesInNearLinearTime) {
+  // 2^17 rows whose ids all hash to one entry: a table build that only
+  // probes would take ~n^2 / 2 = 8.6e9 steps; the probe budget's sort
+  // fallback keeps the decode at O(n log n).
+  constexpr std::size_t kRows = std::size_t{1} << 17;
+  constexpr std::size_t kCols = 2;
+  BinaryWriter payload;
+  for (std::size_t t = 0; t < kRows; ++t) {
+    // Load order is not the id order, so the fallback really sorts.
+    payload.WriteU64(CollidingRowId((t * 7919) % kRows + 1));
+    const float values[kCols] = {static_cast<float>(t), -0.5f};
+    payload.WriteF32Array(values);
+  }
+  const std::string wire = SealUpload(31, kCols, kRows, payload);
+
+  SparseRowMatrix decoded(kCols);
+  decoded.RowMutable(3)[0] = 1.0f;  // stale rows from an earlier round
+  BinaryWriter again;
+  const auto start = std::chrono::steady_clock::now();
+  for (int pass = 0; pass < 2; ++pass) {
+    BinaryReader reader = BinaryReader::View(wire);
+    Result<std::uint64_t> source = DecodeUpload(reader, decoded);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    EXPECT_EQ(source.value(), 31u);
+    ASSERT_EQ(decoded.row_count(), kRows);
+    again.Clear();
+    EncodeUpload(decoded, source.value(), again);
+    ASSERT_EQ(again.buffer(), wire);
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 2.0);
+
+  EXPECT_FALSE(decoded.Contains(3));
+  EXPECT_FALSE(decoded.Contains(CollidingRowId(0)));
+  EXPECT_FALSE(decoded.Contains(CollidingRowId(kRows + 1)));
+  for (const std::size_t t : {std::size_t{0}, std::size_t{1}, kRows - 1}) {
+    const std::size_t id = CollidingRowId((t * 7919) % kRows + 1);
+    ASSERT_TRUE(decoded.Contains(id));
+    EXPECT_EQ(decoded.Row(id)[0], static_cast<float>(t));
+  }
+}
+
+TEST(WireHostileIdsTest, DuplicateRowNamesTheSmallestRepeatedId) {
+  // Repeats of 90 and then 12, in a hashable and a one-home-entry upload.
+  for (const bool colliding : {false, true}) {
+    auto id = [colliding](std::uint64_t t) {
+      return colliding ? CollidingRowId(t) : static_cast<std::size_t>(t);
+    };
+    std::vector<std::size_t> ids;
+    for (std::uint64_t t = 1; t <= 300; ++t) ids.push_back(id(t));
+    ids.push_back(id(90));
+    ids.push_back(id(12));
+    BinaryWriter payload;
+    const float value = 1.0f;
+    for (const std::size_t row : ids) {
+      payload.WriteU64(row);
+      payload.WriteF32Array(std::span<const float>(&value, 1));
+    }
+    const std::string wire = SealUpload(5, 1, ids.size(), payload);
+    BinaryReader reader = BinaryReader::View(wire);
+    SparseRowMatrix decoded;
+    Result<std::uint64_t> result = DecodeUpload(reader, decoded);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(result.status().message(),
+              "FRWU upload: duplicate row " +
+                  std::to_string(std::min(id(90), id(12))));
+    EXPECT_TRUE(decoded.empty());
+  }
 }
 
 TEST(WireFailureTest, NonAscendingDeltaRowsFail) {
